@@ -1,58 +1,111 @@
-"""Segment kernels: jitted hot loops with a pure-numpy fallback.
+"""Segment kernels over half-open windows [lo, hi) of consecutive integers.
 
-Every kernel works on a half-open window [lo, hi) of consecutive
-integers and expects ``primes`` to contain all primes up to
-isqrt(hi - 1), sorted ascending, as an int64 array.  Factorization
-kernels strike each base prime through the window, divide it out of a
-residual array, and treat any residual > 1 as a single prime factor
-(it must be prime: a composite residual would have two factors above
-sqrt(n), exceeding n).
+Every kernel expects ``primes`` to contain all primes up to
+isqrt(hi - 1), sorted ascending, as an int64 array.  The factorization
+kernels share one strike (``strike``): each base prime is struck
+through the window and divided out of a residual array, and a residual
+> 1 left at the end is a single prime factor (a composite residual
+would have two factors above sqrt(n), exceeding n).  Each kernel is a
+local-factor rule folded over that stream.
 
-Backend selection: the numba implementations are active when numba
-imports cleanly and TITCHMARSH_NO_NUMBA is not set to a truthy value.
-Both implementation namespaces stay importable so parity tests and the
-benchmark can compare them in one process.
+``ACTIVE`` is the namespace the rest of the package calls the kernels
+through, one attribute per kernel, so any of them can be swapped for a
+wrapper at run time.
 """
 
-import os
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
 
-_ENV_FLAG = "TITCHMARSH_NO_NUMBA"
+BACKEND = "numpy"
+
+# Primes below STRIDE_LIMIT update strided views of the window one prime
+# at a time.  Larger primes hit so few positions each that per-prime
+# overhead would dominate, so they are struck together in batches of at
+# most BATCH_HITS computed hits (unless one prime alone has more), which
+# bounds the memory a batch takes; the cofactors go out in blocks of
+# the same size.
+STRIDE_LIMIT = 1 << 12
+BATCH_HITS = 1 << 16
 
 
-def _numba_disabled():
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
+def strike(lo, hi, primes):
+    """Factor every n in [lo, hi) over the base primes.
+
+    Yields (idx, p, e): window offsets idx of the multiples of p and the
+    exponent e of p at each.  Below STRIDE_LIMIT, idx is a slice and p
+    an int; above it, idx, p and e are arrays over a batch of primes and
+    idx may repeat a position.  Last come the cofactors, block by block
+    of at most BATCH_HITS positions: the positions whose residual
+    exceeds 1, the residual there, and exponent 1.
+    """
+    width = hi - lo
+    residual = np.arange(lo, hi, dtype=np.int64)
+    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
+    split = int(np.searchsorted(primes, STRIDE_LIMIT))
+    for p in primes[:split].tolist():
+        s = -lo % p
+        if s >= width:
+            continue
+        view = residual[s::p]
+        view //= p
+        e = np.ones(view.size, dtype=np.int64)
+        # multiples of p**2, p**3, ... are sub-strides of the multiples of p
+        q = p * p
+        t = -lo % q
+        while t < width:
+            residual[t::q] //= p
+            e[(t - s) // p :: q // p] += 1
+            q *= p
+            t = -lo % q
+        yield slice(s, None, p), p, e
+    big = primes[split:]
+    first = -lo % big
+    counts = (width - first + big - 1) // big
+    ends = np.cumsum(counts)
+    i = 0
+    while i < big.size:
+        done = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + BATCH_HITS, side="right")))
+        c = counts[i:j]
+        p = np.repeat(big[i:j], c)
+        k = np.arange(p.size) - np.repeat(ends[i:j] - c - done, c)
+        idx = np.repeat(first[i:j], c) + k * p
+        q = (idx + lo) // p
+        e = np.ones(p.size, dtype=np.int64)
+        pe = p.copy()
+        hit = np.nonzero(q % p == 0)[0]
+        while hit.size:
+            e[hit] += 1
+            pe[hit] *= p[hit]
+            q[hit] //= p[hit]
+            hit = hit[q[hit] % p[hit] == 0]
+        np.floor_divide.at(residual, idx, pe)
+        yield idx, p, e
+        i = j
+    for c in range(0, width, BATCH_HITS):
+        r = residual[c : c + BATCH_HITS]
+        idx = np.nonzero(r > 1)[0]
+        yield idx + c, r[idx], np.ones(idx.size, dtype=np.int64)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
+def _fold(lo, hi, primes, ufunc, *factors):
+    """One int64 array per local factor: ufunc's identity combined by
+    ufunc with factor(p, e) for every prime power p**e exactly dividing
+    each n in the window."""
+    out = [np.full(hi - lo, ufunc.identity, dtype=np.int64) for _ in factors]
+    for idx, p, e in strike(lo, hi, primes):
+        for arr, factor in zip(out, factors):
+            if isinstance(idx, slice):
+                view = arr[idx]
+                ufunc(view, factor(p, e), out=view)
+            else:
+                ufunc.at(arr, idx, factor(p, e))
+    return out
 
 
-def _np_strike(residual, lo, hi, p):
-    # indices of multiples of p in the window plus the exponent of p there;
-    # divides p out of residual in place
-    start = ((lo + p - 1) // p) * p
-    if start >= hi:
-        return None, None
-    idx = np.arange(start - lo, hi - lo, p, dtype=np.int64)
-    sub = residual[idx] // p
-    exp = np.ones(idx.size, dtype=np.int64)
-    pos = np.nonzero(sub % p == 0)[0]
-    while pos.size:
-        sub[pos] //= p
-        exp[pos] += 1
-        pos = pos[sub[pos] % p == 0]
-    residual[idx] = sub
-    return idx, exp
-
-
-def _np_window(lo, hi):
-    return np.arange(lo, hi, dtype=np.int64)
-
-
-def _np_primality(lo, hi, primes):
+def _primality(lo, hi, primes):
     width = hi - lo
     flags = np.ones(width, dtype=np.bool_)
     for p in primes:
@@ -67,119 +120,29 @@ def _np_primality(lo, hi, primes):
     return flags
 
 
-def _np_divisor(lo, hi, primes):
-    residual = _np_window(lo, hi)
-    val = np.ones(hi - lo, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            val[idx] *= exp + 1
-    val[residual > 1] *= 2
-    return val
+def _divisor(lo, hi, primes):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: e + 1)[0]
 
 
-def _np_kfree(lo, hi, primes, k):
-    residual = _np_window(lo, hi)
-    val = np.ones(hi - lo, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            val[idx] *= np.minimum(exp, k - 1) + 1
-    val[residual > 1] *= 2  # exponent 1: min(1, k-1) + 1 = 2 for every k >= 2
-    return val
+def _kfree(lo, hi, primes, k):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.minimum(e, k - 1) + 1)[0]
 
 
-def _np_omega(lo, hi, primes):
-    residual = _np_window(lo, hi)
-    val = np.zeros(hi - lo, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            val[idx] += 1
-    val[residual > 1] += 1
-    return val
+def _omega(lo, hi, primes):
+    return _fold(lo, hi, primes, np.add, lambda p, e: 1)[0]
 
 
-def _np_mu(lo, hi, primes):
-    residual = _np_window(lo, hi)
-    val = np.ones(hi - lo, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            val[idx] *= np.where(exp > 1, 0, -1)
-    val[residual > 1] *= -1
-    return val
+def _mu(lo, hi, primes):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.where(e > 1, 0, -1))[0]
 
 
-def _np_pillai(lo, hi, primes):
+def _pillai(lo, hi, primes):
     # numerator and denominator of prod_{p^e || n} (p + e*(p-1)) / p
-    residual = _np_window(lo, hi)
-    num = np.ones(hi - lo, dtype=np.int64)
-    den = np.ones(hi - lo, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            num[idx] *= p + exp * (p - 1)
-            den[idx] *= p
-    big = residual > 1
-    num[big] *= 2 * residual[big] - 1
-    den[big] *= residual[big]
+    num, den = _fold(lo, hi, primes, np.multiply, lambda p, e: p + e * (p - 1), lambda p, e: p)
     return num, den
 
 
-def _np_factor_counts(lo, hi, primes):
-    residual = _np_window(lo, hi)
-    counts = np.zeros(hi - lo, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            counts[idx] += 1
-    counts[residual > 1] += 1
-    return counts
-
-
-def _np_factor_fill(lo, hi, primes, starts):
-    residual = _np_window(lo, hi)
-    cursor = np.zeros(hi - lo, dtype=np.int64)
-    total = int(starts[-1])
-    out_p = np.zeros(total, dtype=np.int64)
-    out_e = np.zeros(total, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        idx, exp = _np_strike(residual, lo, hi, p)
-        if idx is not None:
-            slot = starts[idx] + cursor[idx]
-            out_p[slot] = p
-            out_e[slot] = exp
-            cursor[idx] += 1
-    big = np.nonzero(residual > 1)[0]
-    slot = starts[big] + cursor[big]
-    out_p[slot] = residual[big]
-    out_e[slot] = 1
-    return out_p, out_e
-
-
-def _np_fixed_parts(num, den, idx):
+def _fixed_parts(num, den, idx):
     # Exact partial sums of floor(num/den * 2**64) over the selected
     # positions (idx is an int index array), decomposed so every
     # intermediate fits in int64: num < 2**40 * d(n) keeps num//den plus
@@ -200,280 +163,12 @@ def _np_fixed_parts(num, den, idx):
     return (int(q0.sum()), int(q1.sum()), int(q2.sum()), int(q3.sum()))
 
 
-NUMPY_IMPL = SimpleNamespace(
-    primality=_np_primality,
-    divisor=_np_divisor,
-    kfree=_np_kfree,
-    omega=_np_omega,
-    mu=_np_mu,
-    pillai=_np_pillai,
-    factor_counts=_np_factor_counts,
-    factor_fill=_np_factor_fill,
-    fixed_parts=_np_fixed_parts,
+ACTIVE = SimpleNamespace(
+    primality=_primality,
+    divisor=_divisor,
+    kfree=_kfree,
+    omega=_omega,
+    mu=_mu,
+    pillai=_pillai,
+    fixed_parts=_fixed_parts,
 )
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _nb_primality(lo, hi, primes):
-        width = hi - lo
-        flags = np.ones(width, dtype=np.bool_)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            if start < p * p:
-                start = p * p
-            for idx in range(start - lo, width, p):
-                flags[idx] = False
-        for n in range(lo, min(hi, 2)):
-            flags[n - lo] = False
-        return flags
-
-    @njit(cache=True, nogil=True)
-    def _nb_divisor(lo, hi, primes):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        val = np.ones(width, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                e = 0
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                residual[idx] = r
-                val[idx] *= e + 1
-        for i in range(width):
-            if residual[i] > 1:
-                val[i] *= 2
-        return val
-
-    @njit(cache=True, nogil=True)
-    def _nb_kfree(lo, hi, primes, k):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        val = np.ones(width, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                e = 0
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                residual[idx] = r
-                cap = e if e < k - 1 else k - 1
-                val[idx] *= cap + 1
-        for i in range(width):
-            if residual[i] > 1:
-                val[i] *= 2
-        return val
-
-    @njit(cache=True, nogil=True)
-    def _nb_omega(lo, hi, primes):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        val = np.zeros(width, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                residual[idx] = r
-                val[idx] += 1
-        for i in range(width):
-            if residual[i] > 1:
-                val[i] += 1
-        return val
-
-    @njit(cache=True, nogil=True)
-    def _nb_mu(lo, hi, primes):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        val = np.ones(width, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                e = 0
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                residual[idx] = r
-                if e > 1:
-                    val[idx] = 0
-                else:
-                    val[idx] = -val[idx]
-        for i in range(width):
-            if residual[i] > 1:
-                val[i] = -val[i]
-        return val
-
-    @njit(cache=True, nogil=True)
-    def _nb_pillai(lo, hi, primes):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        num = np.ones(width, dtype=np.int64)
-        den = np.ones(width, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                e = 0
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                residual[idx] = r
-                num[idx] *= p + e * (p - 1)
-                den[idx] *= p
-        for i in range(width):
-            if residual[i] > 1:
-                num[i] *= 2 * residual[i] - 1
-                den[i] *= residual[i]
-        return num, den
-
-    @njit(cache=True, nogil=True)
-    def _nb_factor_counts(lo, hi, primes):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        counts = np.zeros(width, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                residual[idx] = r
-                counts[idx] += 1
-        for i in range(width):
-            if residual[i] > 1:
-                counts[i] += 1
-        return counts
-
-    @njit(cache=True, nogil=True)
-    def _nb_factor_fill(lo, hi, primes, starts):
-        width = hi - lo
-        residual = np.empty(width, dtype=np.int64)
-        for i in range(width):
-            residual[i] = lo + i
-        cursor = np.zeros(width, dtype=np.int64)
-        total = starts[width]
-        out_p = np.zeros(total, dtype=np.int64)
-        out_e = np.zeros(total, dtype=np.int64)
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            if p * p >= hi:
-                break
-            start = ((lo + p - 1) // p) * p
-            for idx in range(start - lo, width, p):
-                e = 0
-                r = residual[idx]
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                residual[idx] = r
-                slot = starts[idx] + cursor[idx]
-                out_p[slot] = p
-                out_e[slot] = e
-                cursor[idx] += 1
-        for i in range(width):
-            if residual[i] > 1:
-                slot = starts[i] + cursor[i]
-                out_p[slot] = residual[i]
-                out_e[slot] = 1
-        return out_p, out_e
-
-    @njit(cache=True, nogil=True)
-    def _nb_fixed_parts(num, den, idx):
-        s0 = np.int64(0)
-        s1 = np.int64(0)
-        s2 = np.int64(0)
-        s3 = np.int64(0)
-        for i in range(idx.shape[0]):
-            n = num[idx[i]]
-            d = den[idx[i]]
-            q0 = n // d
-            r = n % d
-            t = r << 23
-            q1 = t // d
-            r = t % d
-            t = r << 23
-            q2 = t // d
-            r = t % d
-            t = r << 18
-            q3 = t // d
-            s0 += q0
-            s1 += q1
-            s2 += q2
-            s3 += q3
-        return (s0, s1, s2, s3)
-
-    NUMBA_IMPL = SimpleNamespace(
-        primality=_nb_primality,
-        divisor=_nb_divisor,
-        kfree=_nb_kfree,
-        omega=_nb_omega,
-        mu=_nb_mu,
-        pillai=_nb_pillai,
-        factor_counts=_nb_factor_counts,
-        factor_fill=_nb_factor_fill,
-        fixed_parts=_nb_fixed_parts,
-    )
-else:
-    NUMBA_IMPL = None
-
-if HAVE_NUMBA and not _numba_disabled():
-    BACKEND = "numba"
-    ACTIVE = NUMBA_IMPL
-else:
-    BACKEND = "numpy"
-    ACTIVE = NUMPY_IMPL
-
-IMPLS = {"numpy": NUMPY_IMPL}
-if NUMBA_IMPL is not None:
-    IMPLS["numba"] = NUMBA_IMPL

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .functions import MOEBIUS, value_range
-from .sieve import factorize_int, primes_up_to
+from .sieve import MAX_RANGE, factorize_int, primes_up_to
 
 ZETA3_SERIES_TERMS = 10**6
 DEFAULT_PRIME_LIMIT = 10**7
@@ -90,12 +90,14 @@ def _distinct_primes(n):
 def titchmarsh_factor(a):
     """Constant T(a) in sum_{p <= x} d(p - a) ~ T(a) * x.
 
-    a is a nonzero integer; the product over the distinct primes of |a|
-    is finite and exact, so tail_bound is 0.
+    a is a nonzero integer with |a| <= 2**40; the product over the
+    distinct primes of |a| is finite and exact, so tail_bound is 0.
     """
     a = int(a)
     if a == 0:
         raise ValueError("shift a must be nonzero")
+    if abs(a) > MAX_RANGE:
+        raise ValueError(f"shift a must satisfy |a| <= {MAX_RANGE}")
     value = zeta_value(2) * zeta_value(3) / zeta_value(6)
     ps = _distinct_primes(a)
     for p in ps:

@@ -22,7 +22,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _kernels
-from .sieve import DEFAULT_SEGMENT_WIDTH, Segment, primes_up_to
+from .sieve import DEFAULT_SEGMENT_WIDTH, Segment, iter_segments, primes_up_to
 
 _PARAMETRIC = {"dk", "mu_k"}
 _TAGS = {"d", "dk", "unitary", "omega", "mu", "phi", "mu_k", "pillai"}
@@ -182,12 +182,20 @@ def pillai_range(lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH):
 
 
 def function_table(kind, n, base=None):
-    """Array t of length n + 1 with t[m] = kind(m) for 1 <= m <= n, t[0] = 0."""
+    """Array t of length n + 1 with t[m] = kind(m) for 1 <= m <= n, t[0] = 0.
+
+    Filled window by window, each at most DEFAULT_SEGMENT_WIDTH wide,
+    from one base sieve reaching isqrt(n).
+    """
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    vals = value_range(kind, 1, n + 1, base=base)
-    return np.concatenate([np.zeros(1, dtype=np.int64), vals])
+    if base is None:
+        base = primes_up_to(max(2, isqrt(n)))
+    table = np.zeros(n + 1, dtype=np.int64)
+    for seg in iter_segments(1, n + 1):
+        table[seg.lo : seg.hi] = value_range(kind, seg.lo, seg.hi, base=base)
+    return table
 
 
 def mu_k_table(n, k):

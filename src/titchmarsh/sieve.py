@@ -72,6 +72,8 @@ def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
     additionally at every boundary in ``cuts`` that falls inside."""
     if not lo < hi:
         raise ValueError("empty range")
+    if width < 1:
+        raise ValueError(f"segment width must be >= 1, got {width}")
     bounds = {lo, hi}
     g = (lo // width + 1) * width
     while g < hi:
@@ -146,15 +148,21 @@ class FactoredRange:
 def factorize_range(seg, base, max_width=DEFAULT_SEGMENT_WIDTH):
     """Complete factorizations over the window (lo >= 1).
 
-    Two passes: count factor slots per n, then fill them in place.
-    Product of p**e over each row reconstructs n exactly.
+    The hits of the shared strike are stable-sorted by position, so each
+    row lists its base primes ascending with the cofactor last.  Product
+    of p**e over each row reconstructs n exactly.
     """
     _check_window(seg, base, 1, max_width)
-    counts = _kernels.ACTIVE.factor_counts(seg.lo, seg.hi, base.primes)
+    pos = np.arange(seg.width, dtype=np.int64)
+    hits = [
+        (pos[idx], np.broadcast_to(np.int64(p), e.shape), e)
+        for idx, p, e in _kernels.strike(seg.lo, seg.hi, base.primes)
+    ]
+    idx, primes, exponents = (np.concatenate(col) for col in zip(*hits))
+    order = np.argsort(idx, kind="stable")
     starts = np.zeros(seg.width + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    out_p, out_e = _kernels.ACTIVE.factor_fill(seg.lo, seg.hi, base.primes, starts)
-    return FactoredRange(seg, starts, out_p, out_e)
+    np.cumsum(np.bincount(idx, minlength=seg.width), out=starts[1:])
+    return FactoredRange(seg, starts, primes[order], exponents[order])
 
 
 def factorize_int(n):

@@ -3,9 +3,10 @@
 The drivers sweep [2, x] in segments: a primality bitmap on the prime
 side joins a fused value table on the shifted side (window n = p - a),
 so nothing is ever factorized twice.  Segment jobs run on a thread pool
-(the hot kernels release the GIL) and are reduced strictly in segment
-order, which together with exact integer accumulation makes every sum
-bit-identical across segment widths and worker counts.
+(numpy releases the GIL inside its array operations) and are reduced
+strictly in segment order, which together with exact integer
+accumulation makes every sum bit-identical across segment widths and
+worker counts.
 
 Pillai sums are rationals, so floating addition would make the total
 depend on summation order.  Instead each term P(n) = num/den is scaled
@@ -33,7 +34,15 @@ from .constants import (
     felix_cm,
     titchmarsh_factor,
 )
-from .functions import DIVISOR, MOEBIUS, FunctionKind, function_table, k_free_divisor, value_range
+from .functions import (
+    DIVISOR,
+    MOEBIUS,
+    FunctionKind,
+    function_table,
+    integer_kth_root,
+    k_free_divisor,
+    value_range,
+)
 from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, PrimeList, Segment, iter_segments, primes_up_to
 
 _SUM_KINDS = {"d", "dk", "unitary", "pillai"}
@@ -138,7 +147,8 @@ def _eligible_primes(seg, base, a):
 
 
 def _checkpoint_records(a, kind, checkpoints, partials, const):
-    # partials: list of (seg_hi, int payload, skipped) in segment order
+    # partials: list of (seg_hi, int payload, skipped) in segment order;
+    # pillai payloads are scaled by 2**64 and unscaled at each checkpoint
     records = []
     ci = 0
     acc = 0
@@ -148,9 +158,10 @@ def _checkpoint_records(a, kind, checkpoints, partials, const):
         skipped += nskip
         while ci < len(checkpoints) and checkpoints[ci] + 1 == hi:
             cp = checkpoints[ci]
+            total = acc / (1 << 64) if kind.tag == "pillai" else acc
             main = const * cp
-            norm = (float(acc) - main) / (cp / math.log(cp))
-            records.append(SumRecord(cp, a, kind, acc, main, norm, skipped))
+            norm = (float(total) - main) / (cp / math.log(cp))
+            records.append(SumRecord(cp, a, kind, total, main, norm, skipped))
             ci += 1
     if ci != len(checkpoints):
         raise AssertionError("checkpoint boundary not hit; segment cuts are wrong")
@@ -208,38 +219,19 @@ def shifted_prime_sum(
     def job(seg):
         p, nskip = _eligible_primes(seg, base, a)
         if p.size == 0:
-            payload = (0, 0, 0, 0) if pillai else 0
-            return seg.hi, payload, nskip
+            return seg.hi, 0, nskip
         wlo = max(1, seg.lo - a)
         whi = seg.hi - a
         idx = p - a - wlo
         if pillai:
             num, den = impl.pillai(wlo, whi, base.primes)
             parts = impl.fixed_parts(num, den, idx)
-            return seg.hi, tuple(int(v) for v in parts), nskip
+            return seg.hi, sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS)), nskip
         vals = value_range(kind, wlo, whi, base=base, max_width=seg.width + 1)
         return seg.hi, int(vals[idx].sum()), nskip
 
     partials = _run_ordered(segs, job, workers)
-    if not pillai:
-        return _checkpoint_records(a, kind, checkpoints, partials, const)
-    records = []
-    ci = 0
-    acc = 0
-    skipped = 0
-    for hi, parts, nskip in partials:
-        acc += sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
-        skipped += nskip
-        while ci < len(checkpoints) and checkpoints[ci] + 1 == hi:
-            cp = checkpoints[ci]
-            total = acc / (1 << 64)
-            main = const * cp
-            norm = (total - main) / (cp / math.log(cp))
-            records.append(SumRecord(cp, a, kind, total, main, norm, skipped))
-            ci += 1
-    if ci != len(checkpoints):
-        raise AssertionError("checkpoint boundary not hit; segment cuts are wrong")
-    return records
+    return _checkpoint_records(a, kind, checkpoints, partials, const)
 
 
 @dataclass(frozen=True)
@@ -312,9 +304,10 @@ def felix_partial_sum(
     if not 3 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [3, {MAX_RANGE}]")
     workers = _resolve_workers(workers)
+    # the constant validates a before the base sieve is sized from it
+    predicted = felix_cm(m, a).value * x / m
     base = _base_primes(x, a)
     t = _progression_sum(m, a, x, base, segment_width, workers)
-    predicted = felix_cm(m, a).value * x / m
     return FelixRecord(m, a, x, t, predicted)
 
 
@@ -362,16 +355,6 @@ def _primes_array(x, base, segment_width, workers):
     return np.concatenate(_run_ordered(segs, job, workers))
 
 
-def _int_kth_root_below(bound, k):
-    # largest j >= 0 with j**k <= bound (bound a float or int, >= 0)
-    j = max(0, int(bound ** (1.0 / k)))
-    while j**k > bound:
-        j -= 1
-    while (j + 1) ** k <= bound:
-        j += 1
-    return j
-
-
 def decompose_s1_s2(
     k,
     a,
@@ -416,13 +399,9 @@ def decompose_s1_s2(
     total = int(total_rec.sum)
     base = _base_primes(x, a)
     nmax = x - a
-    jmax = _int_kth_root_below(nmax, k) if nmax >= 1 else 0
-    j1 = min(_int_kth_root_below(thr, k), jmax)
-    mu_tab = (
-        np.concatenate([np.zeros(1, dtype=np.int64), value_range(MOEBIUS, 1, jmax + 1)])
-        if jmax >= 1
-        else np.zeros(1, dtype=np.int64)
-    )
+    jmax = integer_kth_root(nmax, k) if nmax >= 1 else 0
+    j1 = min(integer_kth_root(int(thr), k), jmax)
+    mu_tab = function_table(MOEBIUS, jmax) if jmax >= 1 else np.zeros(1, dtype=np.int64)
     per_m = []
     s1 = 0
     for j in range(1, j1 + 1):

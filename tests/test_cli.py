@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import titchmarsh
 from titchmarsh import cli
 from titchmarsh.sums import FelixRecord, SumRecord
 from titchmarsh.verify import CheckResult
@@ -176,3 +181,67 @@ def test_workers_and_width_flags(capsys):
                                    "--format", "csv"])
     assert baseline == 0
     assert _rows(out)[0]["sum"] == _rows(out2)[0]["sum"]
+
+
+# Runs each argv through cli.main in a child and prints [[code, out], ...],
+# so an input that hangs or grows without bound fails the test instead of
+# stalling the suite.
+_CHILD = """
+import contextlib, io, json, sys
+from titchmarsh import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    results.append([code, buf.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_bounded(argvs, timeout=60):
+    src = str(Path(titchmarsh.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_limit_address_space, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_WIDTH_CASES = [
+    ["sum", "--fn", "d", "--x", "1000"],
+    ["felix", "--m", "2", "--x", "1000"],
+    ["decompose", "--x", "1000"],
+]
+
+
+@pytest.mark.parametrize("argv", _WIDTH_CASES, ids=lambda a: a[0])
+def test_zero_segment_width_is_a_domain_error(capsys, argv):
+    code, out = _run(capsys, argv + ["--segment-width", "0", "--format", "json"])
+    assert code == 2
+    assert "segment width" in json.loads(out)["error"]
+
+
+def test_negative_segment_width_is_a_domain_error():
+    argvs = [a + ["--segment-width", "-1", "--format", "json"] for a in _WIDTH_CASES]
+    for code, out in _run_bounded(argvs):
+        assert code == 2
+        assert "segment width" in json.loads(out)["error"]
+
+
+def test_shift_beyond_max_range_is_rejected_at_once():
+    huge = "1000000000000000003"
+    argvs = [
+        ["sum", "--fn", "d", "--x", "1000", "--a", huge, "--format", "json"],
+        ["felix", "--m", "2", "--x", "1000", "--a", huge, "--format", "json"],
+        ["decompose", "--x", "1000", "--a", huge, "--format", "json"],
+    ]
+    for code, out in _run_bounded(argvs, timeout=30):
+        assert code == 2
+        assert "|a|" in json.loads(out)["error"]

@@ -62,6 +62,14 @@ def test_titchmarsh_factor_rejects_zero():
         titchmarsh_factor(0)
 
 
+def test_titchmarsh_factor_bounds_the_shift():
+    assert titchmarsh_factor(-(2**39)).value > 0
+    assert titchmarsh_factor(2**40).value > 0
+    for a in (2**40 + 1, -(2**40) - 1):
+        with pytest.raises(ValueError, match="a"):
+            titchmarsh_factor(a)
+
+
 def test_felix_cm_m1_is_empty_product():
     assert felix_cm(1, 1).value == titchmarsh_factor(1).value
 

@@ -126,6 +126,15 @@ def test_convolution_ones_gives_divisor():
     assert np.array_equal(d, dt)
 
 
+def test_function_table_spans_several_windows():
+    n = 2**20 + 7
+    t = function_table(DIVISOR, n)
+    assert t.shape == (n + 1,)
+    assert t[0] == 0
+    for m in list(range(2**20 - 3, 2**20 + 4)) + list(range(n - 3, n + 1)):
+        assert t[m] == evaluate(DIVISOR, factorize_int(m)), m
+
+
 def test_convolution_moebius_inversion():
     n = 300
     ones = np.ones(n + 1, dtype=np.int64)

@@ -1,120 +1,113 @@
-"""Backend parity: the numba kernels must agree with the numpy reference."""
+"""Kernels against the trial-division oracle: every value kernel must
+equal ``evaluate(kind, factorize_int(n))``, and every factorization row
+must multiply back to its n."""
 
-import os
-import subprocess
-import sys
+import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from titchmarsh import _kernels
-from titchmarsh.sieve import primes_up_to
+from titchmarsh.functions import DIVISOR, MOEBIUS, OMEGA, PILLAI, evaluate, k_free_divisor
+from titchmarsh.sieve import Segment, factorize_int, factorize_range, primes_up_to
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
+_BASE = primes_up_to(1 << 21)  # covers every window below 2**42
 
-_WINDOWS = [
-    (1, 1 + 512),           # lo = 1 edge: unit entry, no factors
-    (2, 2 + 1024),
-    (10**6 - 300, 10**6 + 300),
-    (999001, 1000000),
-    (2**30, 2**30 + 2048),
-]
+_KINDS = [DIVISOR, k_free_divisor(2), k_free_divisor(3), k_free_divisor(4), OMEGA, MOEBIUS]
 
 
-def _base_for(hi):
-    import math
-    return primes_up_to(max(3, math.isqrt(hi - 1) + 1)).primes
-
-
-@needs_numba
-@pytest.mark.parametrize("lo,hi", _WINDOWS)
-def test_scalar_kernels_agree(lo, hi):
-    base = _base_for(hi)
-    nb = _kernels.IMPLS["numba"]
-    npk = _kernels.IMPLS["numpy"]
-    assert np.array_equal(nb.primality(lo, hi, base), npk.primality(lo, hi, base))
-    assert np.array_equal(nb.divisor(lo, hi, base), npk.divisor(lo, hi, base))
-    assert np.array_equal(nb.omega(lo, hi, base), npk.omega(lo, hi, base))
-    assert np.array_equal(nb.mu(lo, hi, base), npk.mu(lo, hi, base))
+def _kernel_values(lo, hi):
+    impl = _kernels.ACTIVE
+    base = _BASE.primes
+    out = {
+        DIVISOR: impl.divisor(lo, hi, base),
+        OMEGA: impl.omega(lo, hi, base),
+        MOEBIUS: impl.mu(lo, hi, base),
+    }
     for k in (2, 3, 4):
-        assert np.array_equal(nb.kfree(lo, hi, base, k), npk.kfree(lo, hi, base, k))
-    n1, d1 = nb.pillai(lo, hi, base)
-    n2, d2 = npk.pillai(lo, hi, base)
-    assert np.array_equal(n1, n2)
-    assert np.array_equal(d1, d2)
+        out[k_free_divisor(k)] = impl.kfree(lo, hi, base, k)
+    return out, impl.pillai(lo, hi, base)
 
 
-@needs_numba
-@pytest.mark.parametrize("lo,hi", _WINDOWS)
-def test_factorization_kernels_agree(lo, hi):
-    base = _base_for(hi)
-    nb = _kernels.IMPLS["numba"]
-    npk = _kernels.IMPLS["numpy"]
-    c1 = nb.factor_counts(lo, hi, base)
-    c2 = npk.factor_counts(lo, hi, base)
-    assert np.array_equal(c1, c2)
-    starts = np.zeros(len(c1) + 1, dtype=np.int64)
-    np.cumsum(c1, out=starts[1:])
-    p1, e1 = nb.factor_fill(lo, hi, base, starts)
-    p2, e2 = npk.factor_fill(lo, hi, base, starts)
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(e1, e2)
+def _check_against_oracle(lo, hi, positions):
+    values, (num, den) = _kernel_values(lo, hi)
+    for i in positions:
+        factors = factorize_int(lo + i)
+        for kind in _KINDS:
+            assert values[kind][i] == evaluate(kind, factors), (kind.label, lo + i)
+        assert Fraction(int(num[i]), int(den[i])) == evaluate(PILLAI, factors), lo + i
 
 
-@needs_numba
-def test_fixed_parts_agree_and_are_exact():
+def _check_rows(lo, hi):
+    fr = factorize_range(Segment(lo, hi), _BASE)
+    assert np.isin(fr.primes[fr.primes <= _BASE.limit], _BASE.primes).all()
+    for n, factors in fr.items():
+        assert prod(p**e for p, e in factors) == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(e >= 1 for _, e in factors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(1, 2**40), width=st.integers(1, 4096), seed=st.integers(0, 2**32))
+def test_kernels_match_oracle_on_random_windows(lo, width, seed):
+    hi = lo + width
+    # trial division near 2**40 costs up to ~0.1 s per prime n, so the
+    # oracle reads a random sample of each window; the rows check below
+    # covers every position
+    positions = random.Random(seed).sample(range(width), min(width, 48))
+    _check_against_oracle(lo, hi, positions)
+    _check_rows(lo, hi)
+
+
+@pytest.mark.parametrize("n", [4099**2 * 3, 65537**2])
+def test_batched_primes_with_square_factors(n):
+    # both squares exceed STRIDE_LIMIT, so they come from the batched
+    # strike, where an exponent >= 2 needs the repeated-division path
+    assert _kernels.STRIDE_LIMIT < 4099
+    lo, hi = n - 300, n + 300
+    _check_against_oracle(lo, hi, range(hi - lo))
+    _check_rows(lo, hi)
+    assert factorize_range(Segment(lo, hi), _BASE).factors(n) == factorize_int(n)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 1 + 512), (2, 2 + 1024), (999001, 1000000)])
+def test_low_windows_match_oracle(lo, hi):
+    _check_against_oracle(lo, hi, range(hi - lo))
+
+
+def test_batches_are_capped():
+    # a window near 2**39 has ~5 * 10**5 hits of primes above STRIDE_LIMIT
+    # and ~7 * 10**5 cofactors; both come out in capped blocks
+    lo = 2**39
+    hi = lo + (1 << 20)
+    base = primes_up_to(isqrt(hi - 1)).primes
+    sizes = [idx.size for idx, _, _ in _kernels.strike(lo, hi, base)
+             if not isinstance(idx, slice)]
+    assert sum(sizes) > 10 * _kernels.BATCH_HITS
+    assert max(sizes) <= _kernels.BATCH_HITS
+
+
+def test_fixed_parts_are_exact():
     rng = np.random.default_rng(11)
     num = rng.integers(1, 1 << 52, size=4096, dtype=np.int64)
     den = rng.integers(1, 1 << 40, size=4096, dtype=np.int64)
     idx = np.nonzero(rng.random(4096) < 0.7)[0]
-    got_nb = _kernels.IMPLS["numba"].fixed_parts(num, den, idx)
-    got_np = _kernels.IMPLS["numpy"].fixed_parts(num, den, idx)
-    assert tuple(got_nb) == tuple(got_np)
+    got = _kernels.ACTIVE.fixed_parts(num, den, idx)
     # the four weighted parts reconstruct sum of floor(num * 2^64 / den)
     w = (1 << 64, 1 << 41, 1 << 18, 1)
     expect = sum((int(num[i]) << 64) // int(den[i]) for i in idx.tolist())
-    assert sum(int(q) * wi for q, wi in zip(got_np, w)) == expect
+    assert sum(int(q) * wi for q, wi in zip(got, w)) == expect
 
 
 def test_fixed_parts_single_term_matches_fraction():
     num = np.array([293], dtype=np.int64)
     den = np.array([15], dtype=np.int64)
     idx = np.array([0], dtype=np.int64)
-    parts = _kernels.IMPLS["numpy"].fixed_parts(num, den, idx)
+    parts = _kernels.ACTIVE.fixed_parts(num, den, idx)
     w = (1 << 64, 1 << 41, 1 << 18, 1)
     total = sum(int(q) * wi for q, wi in zip(parts, w))
     assert total == (Fraction(293, 15) * (1 << 64)).__floor__()
-
-
-def _backend_in_subprocess(extra_env):
-    env = dict(os.environ)
-    env.pop("TITCHMARSH_NO_NUMBA", None)
-    env.update(extra_env)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import titchmarsh, json; "
-         "from titchmarsh.sums import shifted_prime_sum; "
-         "from titchmarsh.functions import DIVISOR; "
-         "r = shifted_prime_sum(DIVISOR, 1, 20000)[-1]; "
-         "print(json.dumps([titchmarsh.BACKEND, r.sum]))"],
-        env=env, capture_output=True, text=True, check=True)
-    import json
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def test_backend_env_flag_selects_numpy():
-    backend, total = _backend_in_subprocess({"TITCHMARSH_NO_NUMBA": "1"})
-    assert backend == "numpy"
-    default_backend, default_total = _backend_in_subprocess({})
-    if _kernels.HAVE_NUMBA:
-        assert default_backend == "numba"
-    assert total == default_total  # same sums whichever backend runs
-
-
-def test_impls_registry():
-    assert "numpy" in _kernels.IMPLS
-    if _kernels.HAVE_NUMBA:
-        assert "numba" in _kernels.IMPLS
-        assert _kernels.BACKEND in ("numba", "numpy")
