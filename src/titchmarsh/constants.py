@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .functions import MOEBIUS, value_range
+from .functions import MOEBIUS, function_table
 from .sieve import MAX_RANGE, factorize_int, primes_up_to
 
 ZETA3_SERIES_TERMS = 10**6
@@ -109,11 +109,12 @@ def titchmarsh_factor(a):
 def felix_cm(m, a):
     """Constant c_m in sum_{p <= x, p = a mod m} d((p - a)/m) ~ c_m * x / m.
 
-    Finite product over the distinct primes of m on top of T(a).
+    Finite product over the distinct primes of m on top of T(a); m is
+    bounded like a, by 2**40, so factoring it stays cheap.
     """
     m = int(m)
-    if m < 1:
-        raise ValueError("modulus m must be >= 1")
+    if not 1 <= m <= MAX_RANGE:
+        raise ValueError(f"modulus m must lie in [1, {MAX_RANGE}]")
     t = titchmarsh_factor(a)
     value = t.value
     ps = _distinct_primes(m) if m > 1 else []
@@ -245,19 +246,6 @@ def _ratio_table(q):
     return ratio
 
 
-def _mu_table(q):
-    # mu(j) for 1 <= j <= q, chunked to respect the segment width cap
-    out = np.empty(q + 1, dtype=np.int64)
-    out[0] = 0
-    base = primes_up_to(max(2, math.isqrt(q)))
-    lo = 1
-    while lo <= q:
-        hi = min(q + 1, lo + (1 << 20))
-        out[lo:hi] = value_range(MOEBIUS, lo, hi, base=base)
-        lo = hi
-    return out
-
-
 @lru_cache(maxsize=None)
 def _zeta_upper(k):
     # upper bound on zeta(k), k >= 2: finite head plus integral tail
@@ -295,7 +283,7 @@ def _cf_tail_envelope(m_cut, k):
     for d <= Q and sum_t t^-k = zeta(k) for d > Q.
     """
     q = _TAIL_STRETCH * m_cut
-    mu = _mu_table(q)
+    mu = function_table(MOEBIUS, q)
     ratio = _ratio_table(q)
     j = np.arange(m_cut + 1, q + 1, dtype=np.int64)
     sel = j[mu[m_cut + 1 :] != 0]
@@ -319,7 +307,7 @@ def cf_series(spec, a, m_limit=DEFAULT_SERIES_LIMIT):
     t = titchmarsh_factor(a)
     if spec.rule == "unit":
         return t
-    mu = _mu_table(m_limit)
+    mu = function_table(MOEBIUS, m_limit)
     ratio = _ratio_table(m_limit)
     j = np.arange(1, m_limit + 1, dtype=np.int64)
     live = j[mu[1:] != 0]

@@ -17,6 +17,9 @@ from . import _kernels
 DEFAULT_SEGMENT_WIDTH = 1 << 20
 MAX_RANGE = 1 << 40
 MAX_PRIME_LIMIT = 1 << 32
+# [1, MAX_RANGE] spans this many default widths; a range spanning more
+# widths is refused before any Segment is built, which bounds the list
+MAX_SEGMENTS = MAX_RANGE // DEFAULT_SEGMENT_WIDTH
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,18 @@ def primes_up_to(n):
 
 def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
     """Segments covering [lo, hi), cut on the absolute width grid and
-    additionally at every boundary in ``cuts`` that falls inside."""
+    additionally at every boundary in ``cuts`` that falls inside.
+
+    The range may span at most MAX_SEGMENTS widths."""
     if not lo < hi:
         raise ValueError("empty range")
     if width < 1:
         raise ValueError(f"segment width must be >= 1, got {width}")
+    if hi - lo > MAX_SEGMENTS * width:
+        raise ValueError(
+            f"segment width {width} is too narrow for [{lo}, {hi}): "
+            f"the range spans more than {MAX_SEGMENTS} segments"
+        )
     bounds = {lo, hi}
     g = (lo // width + 1) * width
     while g < hi:

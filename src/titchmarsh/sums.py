@@ -1,8 +1,10 @@
 """Shifted-prime sums, progression partial sums, and the S1/S2 split.
 
-The drivers sweep [2, x] in segments: a primality bitmap on the prime
-side joins a fused value table on the shifted side (window n = p - a),
-so nothing is ever factorized twice.  Segment jobs run on a thread pool
+Every driver is one sweep of [2, x] in segments (``_sweep``): a
+primality bitmap on the prime side yields n = p - a, and reducers read
+the segment's contribution off value tables of the n-window or of a
+quotient window.  The S1/S2 split feeds its total, every progression
+sum and S2 from the same sweep.  Segment jobs run on a thread pool
 (numpy releases the GIL inside its array operations) and are reduced
 strictly in segment order, which together with exact integer
 accumulation makes every sum bit-identical across segment widths and
@@ -19,7 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
 import numpy as np
@@ -43,7 +45,7 @@ from .functions import (
     k_free_divisor,
     value_range,
 )
-from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, PrimeList, Segment, iter_segments, primes_up_to
+from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, iter_segments, primes_up_to
 
 _SUM_KINDS = {"d", "dk", "unitary", "pillai"}
 
@@ -137,6 +139,15 @@ def _main_constant(tag, k, a, prime_limit, series_limit):
     return cf_series(CfSpec.pillai_rule(), a, series_limit).value
 
 
+def _check_shift(a):
+    a = int(a)
+    if a == 0:
+        raise ValueError("shift a must be nonzero")
+    if abs(a) > MAX_RANGE:
+        raise ValueError(f"shift a must satisfy |a| <= {MAX_RANGE}")
+    return a
+
+
 def _eligible_primes(seg, base, a):
     flags = _kernels.ACTIVE.primality(seg.lo, seg.hi, base.primes)
     p = np.nonzero(flags)[0].astype(np.int64) + seg.lo
@@ -144,6 +155,60 @@ def _eligible_primes(seg, base, a):
         keep = p > a
         return p[keep], int(p.size - keep.sum())
     return p, 0
+
+
+def _sweep(a, x, base, part, segment_width, workers, cuts=()):
+    """(seg.hi, part(lo, hi, n), skipped primes) for each segment of
+    [2, x], in segment order: n = p - a over the segment's eligible
+    primes, ascending, in the n-window [lo, hi) = [max(1, seg.lo - a),
+    seg.hi - a).  Every sum is a reducer ``part`` on this one pass."""
+    segs = iter_segments(2, x + 1, segment_width, cuts=cuts)
+
+    def job(seg):
+        p, nskip = _eligible_primes(seg, base, a)
+        return seg.hi, part(max(1, seg.lo - a), seg.hi - a, p - a), nskip
+
+    return _run_ordered(segs, job, workers)
+
+
+def _value_part(kind, base, lo, hi, n):
+    # sum of g(n); pillai terms are scaled by 2**64, exactly
+    if n.size == 0:
+        return 0
+    if kind.tag == "pillai":
+        num, den = _kernels.ACTIVE.pillai(lo, hi, base.primes)
+        parts = _kernels.ACTIVE.fixed_parts(num, den, n - lo)
+        return sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
+    vals = value_range(kind, lo, hi, base=base, max_width=hi - lo)
+    return int(vals[n - lo].sum())
+
+
+def _progression_part(m, base, lo, hi, n):
+    # sum of d(n / m) over the n divisible by m, from one table of the q-window
+    q = n[n % m == 0] // m
+    if q.size == 0:
+        return 0
+    qlo = int(q[0])
+    qhi = int(q[-1]) + 1
+    vals = value_range(DIVISOR, qlo, qhi, base=base, max_width=qhi - qlo)
+    return int(vals[q - qlo].sum())
+
+
+def _multiples_part(moduli, coeffs, dtab, lo, hi, n):
+    # sum of coeffs[i] * dtab[n // moduli[i]] over the n divisible by moduli[i]:
+    # the multiples of every modulus in the window are expanded in one batch
+    # (first quotient, then np.repeat) and kept where they are an n
+    ms = moduli[: np.searchsorted(moduli, hi)]
+    if ms.size == 0 or n.size == 0:
+        return 0
+    first = -(-lo // ms)
+    counts = (hi - 1) // ms - first + 1
+    which = np.repeat(np.arange(ms.size), counts)
+    q = np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[which]
+    hit = np.zeros(hi - lo, dtype=np.bool_)
+    hit[n - lo] = True
+    keep = hit[q * ms[which] - lo]
+    return int((coeffs[which[keep]] * dtab[q[keep]]).sum())
 
 
 def _checkpoint_records(a, kind, checkpoints, partials, const):
@@ -192,11 +257,9 @@ def shifted_prime_sum(
     Returns a list of SumRecord, one per checkpoint.  Primes p <= a
     contribute nothing (p - a < 1) and are tallied in skipped_primes.
     """
+    a = _check_shift(a)
     if not isinstance(kind, FunctionKind) or kind.tag not in _SUM_KINDS:
         raise ValueError(f"kind must be one of {sorted(_SUM_KINDS)}")
-    a = int(a)
-    if a == 0:
-        raise ValueError("shift a must be nonzero")
     x = int(x)
     if not 3 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [3, {MAX_RANGE}]")
@@ -212,25 +275,8 @@ def shifted_prime_sum(
     workers = _resolve_workers(workers)
     const = _main_constant(kind.tag, kind.k, a, int(prime_limit), int(series_limit))
     base = _base_primes(x, a)
-    segs = iter_segments(2, x + 1, segment_width, cuts=[c + 1 for c in checkpoints])
-    pillai = kind.tag == "pillai"
-    impl = _kernels.ACTIVE
-
-    def job(seg):
-        p, nskip = _eligible_primes(seg, base, a)
-        if p.size == 0:
-            return seg.hi, 0, nskip
-        wlo = max(1, seg.lo - a)
-        whi = seg.hi - a
-        idx = p - a - wlo
-        if pillai:
-            num, den = impl.pillai(wlo, whi, base.primes)
-            parts = impl.fixed_parts(num, den, idx)
-            return seg.hi, sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS)), nskip
-        vals = value_range(kind, wlo, whi, base=base, max_width=seg.width + 1)
-        return seg.hi, int(vals[idx].sum()), nskip
-
-    partials = _run_ordered(segs, job, workers)
+    cuts = [c + 1 for c in checkpoints]
+    partials = _sweep(a, x, base, partial(_value_part, kind, base), segment_width, workers, cuts)
     return _checkpoint_records(a, kind, checkpoints, partials, const)
 
 
@@ -260,23 +306,9 @@ class FelixRecord:
 
 
 def _progression_sum(m, a, x, base, segment_width, workers):
-    # T_m(x); assumes the caller has dealt with gcd(a, m) > 1
-    segs = iter_segments(2, x + 1, segment_width)
-
-    def job(seg):
-        p, _ = _eligible_primes(seg, base, a)
-        if p.size == 0:
-            return 0
-        sel = p[(p - a) % m == 0]
-        if sel.size == 0:
-            return 0
-        q = (sel - a) // m
-        qlo = int(q.min())
-        qhi = int(q.max()) + 1
-        vals = value_range(DIVISOR, qlo, qhi, base=base, max_width=qhi - qlo)
-        return int(vals[q - qlo].sum())
-
-    return sum(_run_ordered(segs, job, workers))
+    # T_m(x), exact for every m >= 1
+    partials = _sweep(a, x, base, partial(_progression_part, m, base), segment_width, workers)
+    return sum(t for _, t, _ in partials)
 
 
 def felix_partial_sum(
@@ -292,19 +324,16 @@ def felix_partial_sum(
     Requires gcd(a, m) = 1: otherwise the progression p = a (mod m)
     contains at most finitely many primes and the prediction is void.
     """
+    a = _check_shift(a)
     m = int(m)
-    a = int(a)
     x = int(x)
     if m < 1:
         raise ValueError("modulus m must be >= 1")
-    if a == 0:
-        raise ValueError("shift a must be nonzero")
     if gcd(a, m) != 1:
         raise ValueError(f"need gcd(a, m) = 1, got gcd({a}, {m}) = {gcd(a, m)}")
     if not 3 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [3, {MAX_RANGE}]")
     workers = _resolve_workers(workers)
-    # the constant validates a before the base sieve is sized from it
     predicted = felix_cm(m, a).value * x / m
     base = _base_primes(x, a)
     t = _progression_sum(m, a, x, base, segment_width, workers)
@@ -316,9 +345,9 @@ class DecompositionReport:
     """S1/S2 split of sum_{p <= x} dk(p - a) at threshold (log x)**B.
 
     s1 collects mu_k-weighted progression sums with modulus m <= threshold
-    (listed in per_m as (m, mu coefficient, T_m)), s2 the rest, computed
-    directly from the prime list rather than by subtraction; s1 + s2
-    should reproduce ``total`` exactly.
+    (listed in per_m as (m, mu coefficient, T_m)), s2 the rest, summed
+    over the multiples of the large moduli rather than by subtraction;
+    s1 + s2 should reproduce ``total`` exactly.
     """
 
     k: int
@@ -345,6 +374,8 @@ class DecompositionReport:
         }
 
 
+# Not called by the package any more; perfbench/tracing.py still wraps
+# it by name, so it stays bound.
 def _primes_array(x, base, segment_width, workers):
     segs = iter_segments(2, x + 1, segment_width)
 
@@ -355,87 +386,48 @@ def _primes_array(x, base, segment_width, workers):
     return np.concatenate(_run_ordered(segs, job, workers))
 
 
-def decompose_s1_s2(
-    k,
-    a,
-    x,
-    B=2.0,
-    *,
-    segment_width=DEFAULT_SEGMENT_WIDTH,
-    workers=None,
-    prime_limit=DEFAULT_PRIME_LIMIT,
-    series_limit=DEFAULT_SERIES_LIMIT,
-):
+def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, workers=None):
     """Split sum_{p <= x} dk(p - a) along dk = mu_k * d.
 
-    Moduli m = j**k <= (log x)**B go into S1 via progression sweeps;
-    larger moduli are summed directly against the full prime list (S2).
-    The split is exact: report.s1 + report.s2 == report.total.
+    Moduli m = j**k <= (log x)**B go into S1 as progression sums T_m;
+    larger moduli are summed over their multiples among the n = p - a
+    (S2).  The total, every T_m and S2 come from one sweep of the
+    primes.  The split is exact: report.s1 + report.s2 == report.total.
     """
+    a = _check_shift(a)
     k = int(k)
-    a = int(a)
     x = int(x)
     B = float(B)
     if k < 2:
         raise ValueError("need k >= 2")
-    if a == 0:
-        raise ValueError("shift a must be nonzero")
     if not 100 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [100, {MAX_RANGE}]")
     if not 1.0 <= B <= 10.0:
         raise ValueError("B must lie in [1, 10]")
     workers = _resolve_workers(workers)
     thr = math.log(x) ** B
-    total_rec = shifted_prime_sum(
-        k_free_divisor(k),
-        a,
-        x,
-        [x],
-        segment_width=segment_width,
-        workers=workers,
-        prime_limit=prime_limit,
-        series_limit=series_limit,
-    )[0]
-    total = int(total_rec.sum)
     base = _base_primes(x, a)
     nmax = x - a
     jmax = integer_kth_root(nmax, k) if nmax >= 1 else 0
     j1 = min(integer_kth_root(int(thr), k), jmax)
     mu_tab = function_table(MOEBIUS, jmax) if jmax >= 1 else np.zeros(1, dtype=np.int64)
-    per_m = []
-    s1 = 0
-    for j in range(1, j1 + 1):
-        mu_j = int(mu_tab[j])
-        if mu_j == 0:
-            continue
-        m = j**k
-        if gcd(abs(a), m) > 1:
-            # m | p - a with gcd(a, m) > 1 forces a common factor in p;
-            # no prime above a survives, so T_m is 0
-            t_m = 0
-        else:
-            t_m = _progression_sum(m, a, x, base, segment_width, workers)
-        per_m.append((m, mu_j, t_m))
-        s1 += mu_j * t_m
-    s2 = 0
-    if j1 < jmax:
-        parr = _primes_array(x, base, segment_width, workers)
-        parr = parr[parr > a]
-        m_min = (j1 + 1) ** k
-        qmax = nmax // m_min
-        dtab = function_table(DIVISOR, qmax) if qmax >= 1 else None
-        for j in range(j1 + 1, jmax + 1):
-            mu_j = int(mu_tab[j])
-            if mu_j == 0:
-                continue
-            m = j**k
-            if gcd(abs(a), m) > 1:
-                continue
-            sel = parr[(parr - a) % m == 0]
-            if sel.size == 0:
-                continue
-            q = (sel - a) // m
-            s2 += mu_j * int(dtab[q].sum())
-    return DecompositionReport(
-        k, a, x, B, thr, int(s1), int(s2), total, tuple(per_m)
-    )
+    # every m with mu(j) != 0 is summed, gcd(a, m) > 1 included: when a < 0
+    # a prime p | a can still have m | p - a (p = 2, a = -2, m = 4)
+    small = [(j**k, int(mu_tab[j])) for j in range(1, j1 + 1) if mu_tab[j]]
+    j = np.arange(j1 + 1, jmax + 1, dtype=np.int64)
+    j = j[mu_tab[j1 + 1 :] != 0]
+    dtab = function_table(DIVISOR, nmax // (j1 + 1) ** k) if j.size else None
+    parts = [
+        partial(_value_part, k_free_divisor(k), base),
+        *(partial(_progression_part, m, base) for m, _ in small),
+        partial(_multiples_part, j**k, mu_tab[j], dtab),
+    ]
+
+    def part(lo, hi, n):
+        return [f(lo, hi, n) for f in parts]
+
+    partials = _sweep(a, x, base, part, segment_width, workers)
+    total, *t_m, s2 = (sum(col) for col in zip(*(r for _, r, _ in partials)))
+    per_m = tuple((m, mu, t) for (m, mu), t in zip(small, t_m))
+    s1 = sum(mu * t for _, mu, t in per_m)
+    return DecompositionReport(k, a, x, B, thr, s1, s2, total, per_m)

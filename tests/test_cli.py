@@ -245,3 +245,17 @@ def test_shift_beyond_max_range_is_rejected_at_once():
     for code, out in _run_bounded(argvs, timeout=30):
         assert code == 2
         assert "|a|" in json.loads(out)["error"]
+
+
+def test_modulus_beyond_max_range_is_rejected_at_once():
+    argv = ["felix", "--m", "1000000000000000003", "--x", "1000", "--format", "json"]
+    [(code, out)] = _run_bounded([argv], timeout=30)
+    assert code == 2
+    assert "modulus" in json.loads(out)["error"]
+
+
+def test_too_many_segments_is_a_domain_error():
+    argv = ["sum", "--fn", "d", "--x", "100000000", "--segment-width", "1", "--format", "json"]
+    [(code, out)] = _run_bounded([argv], timeout=30)
+    assert code == 2
+    assert "segment" in json.loads(out)["error"]

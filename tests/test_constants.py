@@ -88,6 +88,12 @@ def test_felix_cm_validation():
         felix_cm(2, 0)
 
 
+def test_felix_cm_bounds_the_modulus():
+    assert felix_cm(2**40, 1).value == felix_cm(2, 1).value
+    with pytest.raises(ValueError, match="modulus"):
+        felix_cm(2**40 + 1, 1)
+
+
 def test_felix_cm_depends_on_radical():
     c1 = felix_cm(1, 1).value
     assert felix_cm(12, 1).value / c1 == felix_cm(6, 1).value / c1

@@ -6,6 +6,7 @@ import pytest
 from titchmarsh.sieve import (
     DEFAULT_SEGMENT_WIDTH,
     MAX_PRIME_LIMIT,
+    MAX_SEGMENTS,
     Segment,
     factorize_int,
     factorize_range,
@@ -71,6 +72,15 @@ def test_iter_segments_grid_and_cuts():
     # cut points force segment boundaries
     segs = list(iter_segments(1, 1000, width=256, cuts=(500,)))
     assert any(s.hi == 500 for s in segs)
+
+
+def test_iter_segments_bounds_the_segment_count():
+    # refused before a single Segment is built, so these return at once
+    with pytest.raises(ValueError, match="segment"):
+        iter_segments(2, 10**7, 1)
+    with pytest.raises(ValueError, match="segment"):
+        iter_segments(1, MAX_SEGMENTS * 8 + 2, 8)
+    assert MAX_SEGMENTS * DEFAULT_SEGMENT_WIDTH == 2**40
 
 
 def test_primality_range_90_100():

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import titchmarsh.sums
 from titchmarsh.constants import felix_cm, titchmarsh_factor
 from titchmarsh.functions import (
     DIVISOR,
+    MOEBIUS,
     PILLAI,
     UNITARY_DIVISOR,
     function_table,
+    integer_kth_root,
     k_free_divisor,
     pillai_gcd_oracle,
 )
@@ -232,6 +235,72 @@ def test_decompose_per_m_entries():
         assert mu in (-1, 1)
     s1 = sum(mu * t_m for _, mu, t_m in rep.per_m)
     assert s1 == rep.s1
+
+
+def _split_oracle(k, a, x, B):
+    # per_m, s1 and s2 straight from the definition: every modulus
+    # m = j**k <= x - a with mu(j) != 0, summed over a flat prime list
+    n = primes_up_to(x).primes
+    n = n[n > a] - a
+    dtab = function_table(DIVISOR, x - a)
+    jmax = integer_kth_root(x - a, k)
+    mu = function_table(MOEBIUS, jmax)
+    thr = math.log(x) ** B
+    per_m = []
+    s2 = 0
+    for j in range(1, jmax + 1):
+        if mu[j] == 0:
+            continue
+        m = j**k
+        t_m = int(dtab[n[n % m == 0] // m].sum())
+        if m <= thr:
+            per_m.append((m, int(mu[j]), t_m))
+        else:
+            s2 += int(mu[j]) * t_m
+    return tuple(per_m), sum(mu * t for _, mu, t in per_m), s2
+
+
+@pytest.mark.parametrize("B", (1.0, 2.0))
+@pytest.mark.parametrize("a", (1, 6, -7))
+@pytest.mark.parametrize("k", (2, 3))
+def test_decompose_matches_split_oracle(k, a, B):
+    x = 20011
+    per_m, s1, s2 = _split_oracle(k, a, x, B)
+    total = shifted_prime_sum(k_free_divisor(k), a, x, [x])[-1].sum
+    assert s1 + s2 == total
+    for width in (97, 4096, 1 << 20):
+        for workers in (1, 2):
+            rep = decompose_s1_s2(k, a, x, B, segment_width=width, workers=workers)
+            got = (rep.per_m, rep.s1, rep.s2, rep.total)
+            assert got == (per_m, s1, s2, total), (width, workers)
+
+
+@pytest.mark.parametrize("a", (-2, -6))
+def test_decompose_counts_primes_dividing_a(a):
+    # with a < 0 a prime p | a has p > a, so m | p - a is possible with
+    # gcd(a, m) > 1: p = 2, a = -2 gives 4 | 4, and T_4 must count it
+    per_m, s1, s2 = _split_oracle(2, a, 1000, 2.0)
+    rep = decompose_s1_s2(2, a, 1000, 2.0)
+    assert (rep.per_m, rep.s1, rep.s2) == (per_m, s1, s2)
+    assert dict((m, t) for m, _, t in rep.per_m)[4] > 0
+    assert rep.s1 + rep.s2 == rep.total
+
+
+@pytest.mark.parametrize("run", [
+    lambda x: decompose_s1_s2(2, 1, x),
+    lambda x: felix_partial_sum(3, 1, x),
+], ids=["decompose", "felix"])
+def test_one_sweep_of_the_primes(monkeypatch, run):
+    calls = []
+    sweep = titchmarsh.sums.iter_segments
+
+    def counted(lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return sweep(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(titchmarsh.sums, "iter_segments", counted)
+    run(10**4)
+    assert calls == [(2, 10**4 + 1)]
 
 
 def test_decompose_k3():
