@@ -90,11 +90,11 @@ def strike(lo, hi, primes):
         yield idx + c, r[idx], np.ones(idx.size, dtype=np.int64)
 
 
-def _fold(lo, hi, primes, ufunc, *factors):
-    """One int64 array per local factor: ufunc's identity combined by
+def _fold(lo, hi, primes, ufunc, *factors, dtype=np.int64):
+    """One ``dtype`` array per local factor: ufunc's identity combined by
     ufunc with factor(p, e) for every prime power p**e exactly dividing
-    each n in the window."""
-    out = [np.full(hi - lo, ufunc.identity, dtype=np.int64) for _ in factors]
+    each n in the window, in ascending order of p with the cofactor last."""
+    out = [np.full(hi - lo, ufunc.identity, dtype=dtype) for _ in factors]
     for idx, p, e in strike(lo, hi, primes):
         for arr, factor in zip(out, factors):
             if isinstance(idx, slice):

@@ -18,6 +18,8 @@ from . import verify as verify_mod
 from .constants import (
     DEFAULT_PRIME_LIMIT,
     DEFAULT_SERIES_LIMIT,
+    MAX_PRODUCT_LIMIT,
+    MAX_SERIES_LIMIT,
     CfSpec,
     bk_product,
     cf_series,
@@ -71,8 +73,10 @@ def build_parser():
     c = sub.add_parser("constants", help="emit the constants with tail bounds")
     c.add_argument("--k", type=int, default=2)
     c.add_argument("--a", type=int, default=1)
-    c.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT)
-    c.add_argument("--series-limit", type=int, default=DEFAULT_SERIES_LIMIT)
+    c.add_argument("--prime-limit", type=int, default=DEFAULT_PRIME_LIMIT,
+                   help=f"Euler product cut, in [100, {MAX_PRODUCT_LIMIT}]")
+    c.add_argument("--series-limit", type=int, default=DEFAULT_SERIES_LIMIT,
+                   help=f"sieved series cut, in [10, {MAX_SERIES_LIMIT}]")
     _add_common(c)
 
     s = sub.add_parser("sum", help="checkpointed shifted-prime sums")

@@ -23,15 +23,25 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from math import isqrt
 
 import numpy as np
 
-from .functions import MOEBIUS, function_table
-from .sieve import MAX_RANGE, factorize_int, primes_up_to
+from . import _kernels
+from .sieve import MAX_RANGE, factorize_int, iter_segments, primes_up_to
 
 ZETA3_SERIES_TERMS = 10**6
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_SERIES_LIMIT = 10**4
+# An Euler product sieves every prime up to its prime_limit and holds a
+# few float arrays over them: bk_product at 10**8 takes ~5 s and peaks
+# near 430 MB of resident memory.
+MAX_PRODUCT_LIMIT = 10**8
+# The tail envelope of cf_series factors every j up to 256 * m_limit
+# window by window, so its memory stays near 100 MB at any m_limit, but
+# its time grows with m_limit: ~31 s on one core at 10**6.
+MAX_SERIES_LIMIT = 10**6
 
 _EPS = sys.float_info.epsilon
 
@@ -125,14 +135,20 @@ def felix_cm(m, a):
     return ConstantResult(value, t.truncation, t.tail_bound, rounding)
 
 
+def _check_prime_limit(prime_limit, least):
+    prime_limit = int(prime_limit)
+    if not least <= prime_limit <= MAX_PRODUCT_LIMIT:
+        raise ValueError(f"prime_limit must lie in [{least}, {MAX_PRODUCT_LIMIT}]")
+    return prime_limit
+
+
 def zeta_product_identity_gap(prime_limit):
     """|zeta(2)zeta(3)/zeta(6) - prod_{p <= P} (1 + 1/(p(p-1)))|.
 
     The identity is exact over all primes; the finite product differs
     from the closed form by at most ~1/(P log P).
     """
-    prime_limit = int(prime_limit)
-    pf = primes_up_to(prime_limit).primes.astype(np.float64)
+    pf = primes_up_to(_check_prime_limit(prime_limit, 2)).primes.astype(np.float64)
     logs = np.log1p(1.0 / (pf * (pf - 1.0)))
     prod = math.exp(math.fsum(logs.tolist()))
     closed = zeta_value(2) * zeta_value(3) / zeta_value(6)
@@ -155,9 +171,7 @@ def bk_product(k, a, prime_limit=DEFAULT_PRIME_LIMIT):
     k = int(k)
     if k < 2:
         raise ValueError("need k >= 2")
-    prime_limit = int(prime_limit)
-    if prime_limit < 100:
-        raise ValueError("prime_limit must be >= 100")
+    prime_limit = _check_prime_limit(prime_limit, 100)
     a = int(a)
     t = titchmarsh_factor(a)
     pf = primes_up_to(prime_limit).primes.astype(np.float64)
@@ -185,15 +199,10 @@ class CfSpec:
     rule 'unit'  : f is the point mass at 1 (plain divisor sum)
     rule 'mu_k'  : f = mu_k, supported on k-th powers m = j**k
     rule 'pillai': f(m) = mu(m)/m, the weight with f * d = P
-
-    ``alpha`` records the weight's decay exponent (1/k for the mu_k
-    rule, 1 for the pillai rule); the tail machinery below recovers the
-    decay from the rule directly, alpha is carried as declared metadata.
     """
 
     rule: str
     k: int | None = None
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.rule not in {"unit", "mu_k", "pillai"}:
@@ -203,8 +212,6 @@ class CfSpec:
                 raise ValueError("mu_k rule needs integer k >= 2")
         elif self.k is not None:
             raise ValueError(f"{self.rule} rule takes no k")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
 
     def coefficient(self, m):
         """f(m) as an exact Fraction (point evaluation, test surface)."""
@@ -229,21 +236,33 @@ class CfSpec:
     @classmethod
     def mu_k_rule(cls, k):
         k = int(k)
-        return cls("mu_k", k, 1.0 / k)
+        return cls("mu_k", k)
 
     @classmethod
     def pillai_rule(cls):
-        return cls("pillai", None, 1.0)
+        return cls("pillai")
 
 
-@lru_cache(maxsize=None)
-def _ratio_table(q):
-    # ratio[j] = prod_{p | j} p^2/(p^2 - p + 1) = c_j / T(a), any a
-    ratio = np.ones(q + 1, dtype=np.float64)
-    for p in primes_up_to(q).primes if q >= 2 else []:
-        p = int(p)
-        ratio[p::p] *= p * p / (p * p - p + 1.0)
-    return ratio
+def _signed_ratio(p, e):
+    # local factor of mu(j) * ratio(j): -p^2/(p^2 - p + 1) where p || j,
+    # 0 where p^2 | j
+    return np.where(e > 1, 0.0, -(p * p / (p * p - p + 1.0)))
+
+
+def _series_terms(lo, hi, k):
+    """mu(j) * ratio(j) / j**k for the squarefree j in [lo, hi), one array
+    per window of iter_segments, where ratio(j) = prod_{p | j} p^2/(p^2 -
+    p + 1) = c_j / T(a), any a.
+
+    The strike multiplies each j's factors in ascending order of p, so
+    every term is the same double as a product taken prime by prime; a
+    sign flip is exact, so mu(j) * ratio(j) is +-ratio(j) bit for bit.
+    """
+    base = primes_up_to(max(2, isqrt(hi - 1))).primes
+    for seg in iter_segments(lo, hi):
+        (w,) = _kernels._fold(seg.lo, seg.hi, base, np.multiply, _signed_ratio, dtype=np.float64)
+        live = np.nonzero(w)[0]
+        yield w[live] / (live + seg.lo).astype(np.float64) ** k
 
 
 @lru_cache(maxsize=None)
@@ -272,9 +291,10 @@ _TAIL_STRETCH = 256
 def _cf_tail_envelope(m_cut, k):
     """Bound on sum_{j > m_cut} mu^2(j) ratio(j) / j^k, ratio as above.
 
-    Exact midsection out to Q = 256 * m_cut, then an analytic remainder:
-    writing ratio(j) = sum_{d | j} g(d) (squarefree j) and splitting
-    j = d*t gives, for Q >= 1,
+    Exact midsection out to Q = 256 * m_cut, summed window by window
+    into one fsum so that memory does not grow with m_cut, then an
+    analytic remainder: writing ratio(j) = sum_{d | j} g(d) (squarefree
+    j) and splitting j = d*t gives, for Q >= 1,
 
       sum_{j > Q} mu^2 ratio / j^k
         <= G * ( k/(k-1) + zeta(k) ) / Q^(k-1)
@@ -283,11 +303,8 @@ def _cf_tail_envelope(m_cut, k):
     for d <= Q and sum_t t^-k = zeta(k) for d > Q.
     """
     q = _TAIL_STRETCH * m_cut
-    mu = function_table(MOEBIUS, q)
-    ratio = _ratio_table(q)
-    j = np.arange(m_cut + 1, q + 1, dtype=np.int64)
-    sel = j[mu[m_cut + 1 :] != 0]
-    mid = math.fsum((ratio[sel] / sel.astype(np.float64) ** k).tolist())
+    terms = _series_terms(m_cut + 1, q + 1, k)
+    mid = math.fsum(chain.from_iterable(memoryview(np.abs(t)) for t in terms))
     rem = _g_series_constant() * (k / (k - 1.0) + _zeta_upper(k)) / float(q) ** (k - 1)
     return mid + rem
 
@@ -297,26 +314,23 @@ def cf_series(spec, a, m_limit=DEFAULT_SERIES_LIMIT):
 
     ``m_limit`` truncates the rule's support enumeration: j <= m_limit
     for the mu_k rule (support m = j**k), m <= m_limit for the pillai
-    rule.  tail_bound covers everything beyond the truncation.
+    rule; 10 <= m_limit <= MAX_SERIES_LIMIT.  tail_bound covers
+    everything beyond the truncation.
     """
     if not isinstance(spec, CfSpec):
         raise ValueError("spec must be a CfSpec")
     m_limit = int(m_limit)
-    if m_limit < 10:
-        raise ValueError("need m_limit >= 10")
+    if not 10 <= m_limit <= MAX_SERIES_LIMIT:
+        raise ValueError(f"series limit m_limit must lie in [10, {MAX_SERIES_LIMIT}]")
     t = titchmarsh_factor(a)
     if spec.rule == "unit":
         return t
-    mu = function_table(MOEBIUS, m_limit)
-    ratio = _ratio_table(m_limit)
-    j = np.arange(1, m_limit + 1, dtype=np.int64)
-    live = j[mu[1:] != 0]
     k = spec.k if spec.rule == "mu_k" else 2
     # mu_k rule: sum_j mu(j) c_{j^k} / j^k; pillai: sum_m mu(m) c_m / m^2
-    terms = mu[live] * ratio[live] / live.astype(np.float64) ** k
-    series = math.fsum(terms.tolist())
+    terms = np.concatenate(list(_series_terms(1, m_limit + 1, k)))
+    series = math.fsum(memoryview(terms))
     value = t.value * series
     tail = t.value * _cf_tail_envelope(m_limit, k)
-    abs_sum = t.value * math.fsum(np.abs(terms).tolist())
+    abs_sum = t.value * math.fsum(memoryview(np.abs(terms)))
     rounding = _EPS * (16.0 * abs_sum + 4.0 * abs(value)) + t.rounding_bound
     return ConstantResult(value, m_limit, tail, rounding)

@@ -259,3 +259,17 @@ def test_too_many_segments_is_a_domain_error():
     [(code, out)] = _run_bounded([argv], timeout=30)
     assert code == 2
     assert "segment" in json.loads(out)["error"]
+
+
+def test_series_limit_beyond_bound_is_a_domain_error():
+    argv = ["constants", "--series-limit", "10000000", "--format", "json"]
+    [(code, out)] = _run_bounded([argv], timeout=30)
+    assert code == 2
+    assert "series limit" in json.loads(out)["error"]
+
+
+def test_prime_limit_beyond_bound_is_a_domain_error():
+    argv = ["constants", "--prime-limit", "4294967296", "--format", "json"]
+    [(code, out)] = _run_bounded([argv], timeout=30)
+    assert code == 2
+    assert "prime_limit" in json.loads(out)["error"]

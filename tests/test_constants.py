@@ -1,12 +1,16 @@
 """Zeta values, Euler products, and series constants with reported tail bounds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from titchmarsh import constants
 from titchmarsh.constants import (
+    MAX_PRODUCT_LIMIT,
+    MAX_SERIES_LIMIT,
     CfSpec,
     ConstantResult,
     bk_product,
@@ -152,6 +156,12 @@ def test_bk_validation():
         bk_product(2, 1, 50)
 
 
+def test_prime_limit_is_bounded():
+    for fn in (lambda p: bk_product(2, 1, p), zeta_product_identity_gap):
+        with pytest.raises(ValueError, match="prime_limit"):
+            fn(MAX_PRODUCT_LIMIT + 1)
+
+
 def test_cfspec_point_mass_recovers_leading_constant():
     r = cf_series(CfSpec.point_mass(), 1, 100)
     t = titchmarsh_factor(1)
@@ -175,10 +185,7 @@ def test_cfspec_coefficients():
     assert pl.coefficient(6) == Fraction(1, 6)
 
 
-def test_cfspec_alpha():
-    assert CfSpec.mu_k_rule(2).alpha == 0.5
-    assert CfSpec.mu_k_rule(4).alpha == 0.25
-    assert CfSpec.pillai_rule().alpha == 1.0
+def test_cfspec_rejects_bad_rules():
     with pytest.raises(ValueError):
         CfSpec("mu_k", k=None)
     with pytest.raises(ValueError):
@@ -190,6 +197,62 @@ def test_cf_series_validation():
         cf_series(CfSpec.mu_k_rule(2), 0, 100)
     with pytest.raises(ValueError):
         cf_series(CfSpec.mu_k_rule(2), 1, 5)  # cutoff below minimum
+    with pytest.raises(ValueError, match="series limit"):
+        cf_series(CfSpec.pillai_rule(), 1, MAX_SERIES_LIMIT + 1)
+
+
+# (k, a, m_limit) -> value, tail_bound and rounding_bound of cf_series as
+# .hex(), recorded from the implementation that summed whole-range mu and
+# ratio tables; the mu_k rule at k = 2 and the pillai rule sum one series
+_CF_PINS = {
+    (2, 1, 10): ("0x1.00f4218badbb8p+0", "0x1.38765c94611d1p-3", "0x1.54c98b991fd69p-46"),
+    (2, 1, 1000): ("0x1.0000f37beae99p+0", "0x1.976687814b6cdp-10", "0x1.5e2f9bad7c56bp-46"),
+    (2, 1, 10**4): ("0x1.ffffee1034c5cp-1", "0x1.456b86913745cp-13", "0x1.5e45fc2bcd926p-46"),
+    (2, -6, 10): ("0x1.878c63e108bc4p-3", "0x1.dc22132b3ea63p-6", "0x1.626bc1740ce91p-48"),
+    (2, -6, 1000): ("0x1.8619d48c10a0ep-3", "0x1.36667f9f766b5p-12", "0x1.6994f2469c87ap-48"),
+    (2, -6, 10**4): ("0x1.861853db95ec1p-3", "0x1.efe0cd0e0b14fp-16", "0x1.69a5fed79d782p-48"),
+    (2, -(2**39), 10): ("0x1.569ad764e7a4cp-2", "0x1.a09dd0c5d6d18p-5", "0x1.0ca7a8807aed8p-47"),
+    (2, -(2**39), 1000): ("0x1.555699fa8e8cdp-2", "0x1.0f99afab879dfp-11", "0x1.12ebb338b8984p-47"),
+    (2, -(2**39), 10**4): ("0x1.55554960232e9p-2", "0x1.b1e4b36c49b26p-15", "0x1.12fa9e37996acp-47"),
+    (3, 1, 10): ("0x1.85499a937a36dp+0", "0x1.d896117ff04fcp-8", "0x1.2e8c66c9fbf80p-46"),
+    (3, 1, 1000): ("0x1.8512c701a6681p+0", "0x1.98b8ea946f9a2p-21", "0x1.2eff17b05a928p-46"),
+    (3, 1, 10**4): ("0x1.8512c6bfcffccp+0", "0x1.04dd94222c78ep-27", "0x1.2eff1ad56cd15p-46"),
+    (3, -6, 10): ("0x1.28999a57fb978p-2", "0x1.6810d0617a246p-10", "0x1.45495c43f194dp-48"),
+    (3, -6, 1000): ("0x1.286fd4938af9fp-2", "0x1.376851342444bp-23", "0x1.45a0be798efe6p-48"),
+    (3, -6, 10**4): ("0x1.286fd4616183ap-2", "0x1.8d8267d28ce8fp-30", "0x1.45a0c0def23a6p-48"),
+    (3, -(2**39), 10): ("0x1.0386670cfc24ap-1", "0x1.3b0eb6554adfep-9", "0x1.e6531fecc607bp-48"),
+    (3, -(2**39), 1000): ("0x1.0361da01199acp-1", "0x1.107b470d9fbc2p-22", "0x1.e6ec0bca99804p-48"),
+    (3, -(2**39), 10**4): ("0x1.0361d9d535533p-1", "0x1.5bd21ad83b4bep-29", "0x1.e6ec0ffc07296p-48"),
+}
+
+
+def _bits(r):
+    return r.value.hex(), r.tail_bound.hex(), r.rounding_bound.hex()
+
+
+def test_cf_series_pinned_bits():
+    for (k, a, m_limit), want in _CF_PINS.items():
+        specs = [CfSpec.mu_k_rule(k)] + ([CfSpec.pillai_rule()] if k == 2 else [])
+        for spec in specs:
+            assert _bits(cf_series(spec, a, m_limit)) == want, (spec.rule, k, a, m_limit)
+
+
+def test_cf_series_memory_does_not_grow_with_the_limit():
+    def traced(m_limit):
+        constants._cf_tail_envelope.cache_clear()
+        tracemalloc.start()
+        try:
+            r = cf_series(CfSpec.pillai_rule(), 1, m_limit)
+            return r, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, small = traced(10**4)
+    r, large = traced(10**5)
+    assert large <= small + 4 * 2**20, (small, large)
+    # past 256 * 10**5 > 4096**2 the strike batches its large base primes;
+    # the bits were recorded from the table-based implementation
+    assert _bits(r) == ("0x1.ffffff87bd5cfp-1", "0x1.04775c36fdd2bp-16", "0x1.5e483a1c5a3b0p-46")
 
 
 def test_cf_series_sign_symmetry():
