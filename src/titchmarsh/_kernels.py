@@ -20,30 +20,55 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Primes below STRIDE_LIMIT update strided views of the window one prime
-# at a time.  Larger primes hit so few positions each that per-prime
-# overhead would dominate, so they are struck together in batches of at
-# most BATCH_HITS computed hits (unless one prime alone has more), which
-# bounds the memory a batch takes; the cofactors go out in blocks of
-# the same size.
+# Primes below STRIDE_LIMIT and below 1/STRIDE_RATIO of the window width
+# update strided views of the window one prime at a time.  Larger primes
+# hit so few positions each that per-prime overhead would dominate, so
+# they are struck together in batches of at most BATCH_HITS computed
+# hits, which bounds the memory a batch takes; the cofactors go out in
+# blocks of the same size.
 STRIDE_LIMIT = 1 << 12
+STRIDE_RATIO = 64
 BATCH_HITS = 1 << 16
+
+
+def progressions(first, step, counts):
+    """Expand the progressions first[i] + t * step[i], 0 <= t < counts[i],
+    in chunks of at most BATCH_HITS terms, in order.  Yields (which,
+    idx): the terms idx of the chunk, and which[t], the progression that
+    term idx[t] is from."""
+    ends = np.cumsum(counts)
+    i = 0
+    while i < ends.size:
+        done = int(ends[i - 1]) if i else 0
+        j = int(np.searchsorted(ends, done + BATCH_HITS, side="right"))
+        if j == i:
+            # progression i alone is longer than a chunk: split it
+            for t0 in range(0, int(counts[i]), BATCH_HITS):
+                t = np.arange(t0, min(t0 + BATCH_HITS, int(counts[i])))
+                yield np.full(t.size, i), first[i] + t * step[i]
+            i += 1
+            continue
+        c = counts[i:j]
+        which = np.repeat(np.arange(i, j), c)
+        t = np.arange(which.size) - np.repeat(ends[i:j] - c - done, c)
+        yield which, first[which] + t * step[which]
+        i = j
 
 
 def strike(lo, hi, primes):
     """Factor every n in [lo, hi) over the base primes.
 
     Yields (idx, p, e): window offsets idx of the multiples of p and the
-    exponent e of p at each.  Below STRIDE_LIMIT, idx is a slice and p
-    an int; above it, idx, p and e are arrays over a batch of primes and
-    idx may repeat a position.  Last come the cofactors, block by block
+    exponent e of p at each.  For the strided primes, idx is a slice and
+    p an int; above them, idx, p and e are arrays over a batch of primes
+    and idx may repeat a position.  Last come the cofactors, block by block
     of at most BATCH_HITS positions: the positions whose residual
     exceeds 1, the residual there, and exponent 1.
     """
     width = hi - lo
     residual = np.arange(lo, hi, dtype=np.int64)
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
-    split = int(np.searchsorted(primes, STRIDE_LIMIT))
+    split = int(np.searchsorted(primes, min(STRIDE_LIMIT, width // STRIDE_RATIO)))
     for p in primes[:split].tolist():
         s = -lo % p
         if s >= width:
@@ -63,15 +88,8 @@ def strike(lo, hi, primes):
     big = primes[split:]
     first = -lo % big
     counts = (width - first + big - 1) // big
-    ends = np.cumsum(counts)
-    i = 0
-    while i < big.size:
-        done = int(ends[i - 1]) if i else 0
-        j = max(i + 1, int(np.searchsorted(ends, done + BATCH_HITS, side="right")))
-        c = counts[i:j]
-        p = np.repeat(big[i:j], c)
-        k = np.arange(p.size) - np.repeat(ends[i:j] - c - done, c)
-        idx = np.repeat(first[i:j], c) + k * p
+    for which, idx in progressions(first, big, counts):
+        p = big[which]
         q = (idx + lo) // p
         e = np.ones(p.size, dtype=np.int64)
         pe = p.copy()
@@ -83,7 +101,6 @@ def strike(lo, hi, primes):
             hit = hit[q[hit] % p[hit] == 0]
         np.floor_divide.at(residual, idx, pe)
         yield idx, p, e
-        i = j
     for c in range(0, width, BATCH_HITS):
         r = residual[c : c + BATCH_HITS]
         idx = np.nonzero(r > 1)[0]

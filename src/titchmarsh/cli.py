@@ -283,9 +283,11 @@ def _run_decompose(cfg):
 
 def _run_verify(cfg):
     results = verify_mod.run(cfg.level)
-    header = ("check", "status", "detail")
-    rows = [(r.name, "PASS" if r.ok else "FAIL", r.detail) for r in results]
-    json_obj = [{"check": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+    header = ("check", "status", "seconds", "detail")
+    rows = [(r.name, "PASS" if r.ok else "FAIL", f"{r.seconds:.2f}", r.detail) for r in results]
+    json_obj = [
+        {"check": r.name, "ok": r.ok, "seconds": r.seconds, "detail": r.detail} for r in results
+    ]
     failed = any(not r.ok for r in results)
     return header, rows, json_obj, failed
 

@@ -150,7 +150,7 @@ def zeta_product_identity_gap(prime_limit):
     """
     pf = primes_up_to(_check_prime_limit(prime_limit, 2)).primes.astype(np.float64)
     logs = np.log1p(1.0 / (pf * (pf - 1.0)))
-    prod = math.exp(math.fsum(logs.tolist()))
+    prod = math.exp(math.fsum(memoryview(logs)))
     closed = zeta_value(2) * zeta_value(3) / zeta_value(6)
     return abs(closed - prod)
 
@@ -180,7 +180,7 @@ def bk_product(k, a, prime_limit=DEFAULT_PRIME_LIMIT):
         u = 1.0 / denom
     u[~np.isfinite(u)] = 0.0
     if k == 2:
-        value = t.value * math.exp(math.fsum(np.log1p(-u).tolist()))
+        value = t.value * math.exp(math.fsum(memoryview(np.log1p(-u))))
     else:
         value = t.value * float(np.prod(1.0 - u))
     tail = value * 2.0 / ((k - 1) * float(prime_limit) ** (k - 1))
@@ -281,7 +281,7 @@ def _g_series_constant():
     lim = 100_000
     pf = primes_up_to(lim).primes.astype(np.float64)
     logs = np.log1p((pf - 1.0) / ((pf * pf - pf + 1.0) * pf))
-    return math.exp(math.fsum(logs.tolist()) + 1.0 / (lim - 1.0))
+    return math.exp(math.fsum(memoryview(logs)) + 1.0 / (lim - 1.0))
 
 
 _TAIL_STRETCH = 256

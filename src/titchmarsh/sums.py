@@ -2,13 +2,29 @@
 
 Every driver is one sweep of [2, x] in segments (``_sweep``): a
 primality bitmap on the prime side yields n = p - a, and reducers read
-the segment's contribution off value tables of the n-window or of a
-quotient window.  The S1/S2 split feeds its total, every progression
-sum and S2 from the same sweep.  Segment jobs run on a thread pool
-(numpy releases the GIL inside its array operations) and are reduced
-strictly in segment order, which together with exact integer
-accumulation makes every sum bit-identical across segment widths and
-worker counts.
+the segment's contribution off the n-window.  Segment jobs run on a
+thread pool (numpy releases the GIL inside its array operations) and
+are reduced strictly in segment order, which together with exact
+integer accumulation makes every sum bit-identical across segment
+widths and worker counts.
+
+Divisor-type sums are counted, not factored.  With d(r) = 2 #{e | r :
+e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
+by q is a count of the n on the window's bitmap in the progressions
+0 (mod q*e) above q*e*e (``_divisor_counts``).  Counted this way:
+
+- ``felix`` T_m, with q = m;
+- each S1 modulus of ``decompose``, with q = m, and its S2, with
+  q = j**k and weight mu(j) over the large squarefree j;
+- the ``d``, ``dk`` and ``unitary`` sums, with q = 1 for d and
+  q = j**k, weight mu(j) for dk (dk = mu_k * d; unitary is dk with
+  k = 2), in windows at least _COUNT_REACH times as wide as the count
+  has pairs (q, e), isqrt(n_max) of them for d.  Narrower windows, and
+  so higher n, go to the factor route, the value kernel of the n-window.
+
+Factored: Pillai sums, and the total of ``decompose``, which stays on
+the kfree kernel so that s1 + s2 = total compares two independent
+routes.
 
 Pillai sums are rationals, so floating addition would make the total
 depend on summation order.  Instead each term P(n) = num/den is scaled
@@ -37,7 +53,6 @@ from .constants import (
     titchmarsh_factor,
 )
 from .functions import (
-    DIVISOR,
     MOEBIUS,
     FunctionKind,
     function_table,
@@ -171,8 +186,102 @@ def _sweep(a, x, base, part, segment_width, workers, cuts=()):
     return _run_ordered(segs, job, workers)
 
 
-def _value_part(kind, base, lo, hi, n):
-    # sum of g(n); pillai terms are scaled by 2**64, exactly
+def _isqrt_array(v):
+    # floor(sqrt(v)) elementwise, exact for 0 <= v < 2**52
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _tally(out, which, times):
+    # out[which[t]] += times for every t; which is ascending
+    if which.size:
+        first = int(which[0])
+        c = np.bincount(which - first)
+        out[first : first + c.size] += times * c
+
+
+def _pairs(qs, hi):
+    # the moduli q < hi and, for each, the number of e with q*e*e < hi
+    qs = qs[: np.searchsorted(qs, hi)]
+    return qs, _isqrt_array((hi - 1) // qs)
+
+
+def _divisor_counts(qs, lo, hi, n):
+    """out[i] = sum of d(n / qs[i]) over the n divisible by qs[i], for
+    ascending moduli qs, counted on the hit bitmap of the window.
+
+    d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
+    with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
+    less the n = q*e*e itself.  No integer of the window is factored."""
+    out = np.zeros(qs.size, dtype=np.int64)
+    if n.size == 0:
+        return out
+    width = hi - lo
+    hit = np.zeros(width, dtype=np.bool_)
+    hit[n - lo] = True
+    qs, ecount = _pairs(qs, hi)
+    one = np.ones(qs.size, dtype=np.int64)
+    for which, e in _kernels.progressions(one, one, ecount):
+        s = qs[which] * e
+        sq = s * e
+        t = np.maximum(sq, -(-lo // s) * s)
+        count = (hi - 1 - t) // s + 1
+        at = sq >= lo
+        _tally(out, which[at][hit[sq[at] - lo]], -1)
+        # strides below 1/STRIDE_RATIO of the window are strided views of
+        # the bitmap, one pair at a time; the rest are expanded in batches
+        small = (count > 0) & (s < width // _kernels.STRIDE_RATIO)
+        offs = (t[small] - lo).tolist()
+        got = [np.count_nonzero(hit[o::st]) for o, st in zip(offs, s[small].tolist())]
+        np.add.at(out, which[small], 2 * np.array(got, dtype=np.int64))
+        big = (count > 0) & ~small
+        wbig = which[big]
+        for w, idx in _kernels.progressions(t[big] - lo, s[big], count[big]):
+            _tally(out, wbig[w[hit[idx]]], 2)
+    return out
+
+
+def _divisor_weights(kind, nmax):
+    """Moduli q and weights c with kind(n) = sum of c * d(n / q) over the
+    q | n, for n <= nmax: q = 1 for d, and q = j**k with c = mu(j) over
+    the squarefree j for dk (dk = mu_k * d; unitary is dk with k = 2)."""
+    if kind.tag == "d":
+        return np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    if nmax < 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    k = kind.k if kind.tag == "dk" else 2
+    mu = function_table(MOEBIUS, integer_kth_root(nmax, k))
+    j = np.nonzero(mu)[0]
+    return j**k, mu[j]
+
+
+def _count_part(qs, cs, lo, hi, n):
+    return int(cs @ _divisor_counts(qs, lo, hi, n))
+
+
+# The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
+# for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk.  Factoring pays
+# per integer of the window and per base prime.  Count over factor time
+# per 2**20 window, against pairs / width: d 0.25 at 0.010 (near 10**8),
+# 0.61 at 0.095 (10**10), 1.17 at 0.71 (2**39); dk2 0.56 at 0.061 (10**8)
+# and 1.48 at 0.74 (10**10).  So a window is counted when it is at least
+# _COUNT_REACH times as wide as its pairs.
+_COUNT_REACH = 5
+
+
+def _value_part(kind, base, weights, lo, hi, n):
+    # sum of g(n): counted for d, dk and unitary in windows wide enough
+    # for their pairs, factored otherwise
+    if weights is not None and _pairs(weights[0], hi)[1].sum() * _COUNT_REACH <= hi - lo:
+        return _count_part(*weights, lo, hi, n)
+    return _factor_part(kind, base, lo, hi, n)
+
+
+def _factor_part(kind, base, lo, hi, n):
+    # sum of g(n) from the value kernel of the n-window; pillai terms are
+    # scaled by 2**64, exactly
     if n.size == 0:
         return 0
     if kind.tag == "pillai":
@@ -181,34 +290,6 @@ def _value_part(kind, base, lo, hi, n):
         return sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
     vals = value_range(kind, lo, hi, base=base, max_width=hi - lo)
     return int(vals[n - lo].sum())
-
-
-def _progression_part(m, base, lo, hi, n):
-    # sum of d(n / m) over the n divisible by m, from one table of the q-window
-    q = n[n % m == 0] // m
-    if q.size == 0:
-        return 0
-    qlo = int(q[0])
-    qhi = int(q[-1]) + 1
-    vals = value_range(DIVISOR, qlo, qhi, base=base, max_width=qhi - qlo)
-    return int(vals[q - qlo].sum())
-
-
-def _multiples_part(moduli, coeffs, dtab, lo, hi, n):
-    # sum of coeffs[i] * dtab[n // moduli[i]] over the n divisible by moduli[i]:
-    # the multiples of every modulus in the window are expanded in one batch
-    # (first quotient, then np.repeat) and kept where they are an n
-    ms = moduli[: np.searchsorted(moduli, hi)]
-    if ms.size == 0 or n.size == 0:
-        return 0
-    first = -(-lo // ms)
-    counts = (hi - 1) // ms - first + 1
-    which = np.repeat(np.arange(ms.size), counts)
-    q = np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[which]
-    hit = np.zeros(hi - lo, dtype=np.bool_)
-    hit[n - lo] = True
-    keep = hit[q * ms[which] - lo]
-    return int((coeffs[which[keep]] * dtab[q[keep]]).sum())
 
 
 def _checkpoint_records(a, kind, checkpoints, partials, const):
@@ -276,7 +357,9 @@ def shifted_prime_sum(
     const = _main_constant(kind.tag, kind.k, a, int(prime_limit), int(series_limit))
     base = _base_primes(x, a)
     cuts = [c + 1 for c in checkpoints]
-    partials = _sweep(a, x, base, partial(_value_part, kind, base), segment_width, workers, cuts)
+    weights = None if kind.tag == "pillai" else _divisor_weights(kind, x - a)
+    part = partial(_value_part, kind, base, weights)
+    partials = _sweep(a, x, base, part, segment_width, workers, cuts)
     return _checkpoint_records(a, kind, checkpoints, partials, const)
 
 
@@ -307,7 +390,8 @@ class FelixRecord:
 
 def _progression_sum(m, a, x, base, segment_width, workers):
     # T_m(x), exact for every m >= 1
-    partials = _sweep(a, x, base, partial(_progression_part, m, base), segment_width, workers)
+    one = np.ones(1, dtype=np.int64)
+    partials = _sweep(a, x, base, partial(_count_part, m * one, one), segment_width, workers)
     return sum(t for _, t, _ in partials)
 
 
@@ -407,27 +491,20 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
     workers = _resolve_workers(workers)
     thr = math.log(x) ** B
     base = _base_primes(x, a)
-    nmax = x - a
-    jmax = integer_kth_root(nmax, k) if nmax >= 1 else 0
-    j1 = min(integer_kth_root(int(thr), k), jmax)
-    mu_tab = function_table(MOEBIUS, jmax) if jmax >= 1 else np.zeros(1, dtype=np.int64)
+    kind = k_free_divisor(k)
     # every m with mu(j) != 0 is summed, gcd(a, m) > 1 included: when a < 0
     # a prime p | a can still have m | p - a (p = 2, a = -2, m = 4)
-    small = [(j**k, int(mu_tab[j])) for j in range(1, j1 + 1) if mu_tab[j]]
-    j = np.arange(j1 + 1, jmax + 1, dtype=np.int64)
-    j = j[mu_tab[j1 + 1 :] != 0]
-    dtab = function_table(DIVISOR, nmax // (j1 + 1) ** k) if j.size else None
-    parts = [
-        partial(_value_part, k_free_divisor(k), base),
-        *(partial(_progression_part, m, base) for m, _ in small),
-        partial(_multiples_part, j**k, mu_tab[j], dtab),
-    ]
+    qs, cs = _divisor_weights(kind, x - a)
+    ns1 = int(np.searchsorted(qs, int(thr), side="right"))
 
     def part(lo, hi, n):
-        return [f(lo, hi, n) for f in parts]
+        # the total stays on the kfree kernel, so that s1 + s2 = total
+        # checks the count against an independent route
+        t = _divisor_counts(qs, lo, hi, n)
+        return [_factor_part(kind, base, lo, hi, n), *t[:ns1].tolist(), int(cs[ns1:] @ t[ns1:])]
 
     partials = _sweep(a, x, base, part, segment_width, workers)
     total, *t_m, s2 = (sum(col) for col in zip(*(r for _, r, _ in partials)))
-    per_m = tuple((m, mu, t) for (m, mu), t in zip(small, t_m))
+    per_m = tuple(zip(qs[:ns1].tolist(), cs[:ns1].tolist(), t_m))
     s1 = sum(mu * t for _, mu, t in per_m)
     return DecompositionReport(k, a, x, B, thr, s1, s2, total, per_m)

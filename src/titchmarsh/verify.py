@@ -58,6 +58,7 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+    seconds: float = 0.0
 
 
 def _pilots():
@@ -387,15 +388,17 @@ _FULL_CHECKS = (
 
 
 def run(level="fast"):
-    """Execute the named checks for a level; returns list of CheckResult."""
+    """Execute the named checks for a level; returns list of CheckResult,
+    each with the wall seconds its check took."""
     if level not in {"fast", "full"}:
         raise ValueError("level must be 'fast' or 'full'")
     checks = _FAST_CHECKS if level == "fast" else _FULL_CHECKS
     out = []
     for name, fn in checks:
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a check must never take down the suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        out.append(CheckResult(name, ok, detail))
+        out.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
     return out

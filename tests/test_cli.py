@@ -6,6 +6,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -273,3 +274,34 @@ def test_prime_limit_beyond_bound_is_a_domain_error():
     [(code, out)] = _run_bounded([argv], timeout=30)
     assert code == 2
     assert "prime_limit" in json.loads(out)["error"]
+
+
+def test_decompose_far_shift_stays_bounded():
+    # S2 once tabulated d up to (x - a) / j1**k: 152 GiB at this shift
+    argv = ["decompose", "--x", "1000", "--a", "-1000000000000", "--format", "json"]
+    [(code, out)] = _run_bounded([argv], timeout=60)
+    assert code in (0, 2)
+    rep = json.loads(out)
+    if code == 0:
+        assert rep["s1"] + rep["s2"] == rep["total"]
+    else:
+        assert rep["error"]
+
+
+def test_verify_reports_seconds_per_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli.verify_mod, "run",
+                        lambda level: (CheckResult("forced", True, "fine", 1.25),))
+    code, out = _run(capsys, ["verify", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == [{"check": "forced", "ok": True, "seconds": 1.25, "detail": "fine"}]
+    code, out = _run(capsys, ["verify"])
+    assert out.splitlines()[0].split() == ["check", "status", "seconds", "detail"]
+    assert "1.25" in out.splitlines()[1]
+
+
+def test_verify_run_times_each_check(monkeypatch):
+    from titchmarsh import verify
+
+    monkeypatch.setattr(verify, "_FAST_CHECKS", (("nap", lambda: (time.sleep(0.05), (True, "ok"))[1]),))
+    [result] = verify.run("fast")
+    assert result.ok and 0.05 <= result.seconds < 5

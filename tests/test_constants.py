@@ -255,6 +255,21 @@ def test_cf_series_memory_does_not_grow_with_the_limit():
     assert _bits(r) == ("0x1.ffffff87bd5cfp-1", "0x1.04775c36fdd2bp-16", "0x1.5e483a1c5a3b0p-46")
 
 
+# value of bk_product(2, a, P) for a = 1, -6 and zeta_product_identity_gap(P)
+# as .hex(), recorded from the implementation that handed fsum a list
+_LOG_SUM_PINS = {
+    10**5: ("0x1.00000d75a70afp+0", "0x1.861876089d047p-3", "0x1.a28f3db900000p-20"),
+    10**7: ("0x1.000000192b337p+0", "0x1.861861ac72978p-3", "0x1.8757db0000000p-27"),
+}
+
+
+@pytest.mark.parametrize("prime_limit", sorted(_LOG_SUM_PINS))
+def test_log_sums_pinned_bits(prime_limit):
+    got = (bk_product(2, 1, prime_limit).value.hex(), bk_product(2, -6, prime_limit).value.hex(),
+           zeta_product_identity_gap(prime_limit).hex())
+    assert got == _LOG_SUM_PINS[prime_limit]
+
+
 def test_cf_series_sign_symmetry():
     for spec in (CfSpec.mu_k_rule(2), CfSpec.pillai_rule()):
         assert cf_series(spec, -6, 1000).value == cf_series(spec, 6, 1000).value

@@ -79,6 +79,17 @@ def test_low_windows_match_oracle(lo, hi):
     _check_against_oracle(lo, hi, range(hi - lo))
 
 
+def test_narrow_windows_batch_the_small_primes():
+    # in a window narrower than 64 * p even p = 2 is struck in a batch,
+    # so exponents up to 30 (at 2**30) and 19 (3**19) take the batched path
+    for n in (2**30, 3**19):
+        lo, hi = n - 50, n + 50
+        assert hi - lo < 2 * _kernels.STRIDE_RATIO
+        assert [idx for idx, _, _ in _kernels.strike(lo, hi, _BASE.primes) if isinstance(idx, slice)] == []
+        _check_against_oracle(lo, hi, range(hi - lo))
+        _check_rows(lo, hi)
+
+
 def test_batches_are_capped():
     # a window near 2**39 has ~5 * 10**5 hits of primes above STRIDE_LIMIT
     # and ~7 * 10**5 cofactors; both come out in capped blocks

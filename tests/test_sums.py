@@ -3,9 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import titchmarsh.sums
+from titchmarsh import _kernels
 from titchmarsh.constants import felix_cm, titchmarsh_factor
 from titchmarsh.functions import (
     DIVISOR,
@@ -16,6 +20,7 @@ from titchmarsh.functions import (
     integer_kth_root,
     k_free_divisor,
     pillai_gcd_oracle,
+    value_range,
 )
 from titchmarsh.sieve import primes_up_to
 from titchmarsh.sums import (
@@ -368,3 +373,123 @@ def test_large_positive_shift():
     expect, skipped = _direct_sum(DIVISOR, 100, 10**4)
     assert rec.sum == expect
     assert rec.skipped_primes == skipped == 25
+
+
+def _divisor_oracle(qs, lo, hi, n):
+    # per q, the sum of d(n / q) over the n divisible by q, from the
+    # factoring kernel on the window of the quotients
+    out = []
+    for q in qs:
+        r = n[n % q == 0] // q
+        if r.size == 0:
+            out.append(0)
+            continue
+        rlo, rhi = int(r[0]), int(r[-1]) + 1
+        out.append(int(value_range(DIVISOR, rlo, rhi)[r - rlo].sum()))
+    return out
+
+
+def _check_count(qs, cs, lo, hi, n):
+    qs = np.array(qs, dtype=np.int64)
+    cs = np.array(cs, dtype=np.int64)
+    want = _divisor_oracle(qs.tolist(), lo, hi, n)
+    assert titchmarsh.sums._divisor_counts(qs, lo, hi, n).tolist() == want, (lo, hi)
+    assert titchmarsh.sums._count_part(qs, cs, lo, hi, n) == sum(
+        c * w for c, w in zip(cs.tolist(), want))
+
+
+def _signed_powers(js, k):
+    # q = j**k over the squarefree j of js, ascending, with c = mu(j)
+    mu = function_table(MOEBIUS, max(js))
+    pairs = sorted((j**k, int(mu[j])) for j in set(js) if mu[j])
+    return [q for q, _ in pairs], [c for _, c in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.integers(1, 2**40),
+    width=st.integers(1, 4096),
+    density=st.sampled_from([1.0, 0.5, 0.05]),
+    seed=st.integers(0, 2**32),
+    m=st.integers(2, 5000),
+    js=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    k=st.integers(2, 4),
+)
+def test_divisor_count_matches_factoring(lo, width, density, seed, m, js, k):
+    hi = lo + width
+    rng = np.random.default_rng(seed)
+    n = np.arange(lo, hi, dtype=np.int64)
+    n = n[rng.random(width) < density]
+    _check_count([1], [1], lo, hi, n)
+    _check_count([m], [1], lo, hi, n)
+    _check_count(*_signed_powers(js, k), lo, hi, n)
+
+
+@pytest.mark.parametrize("lo,hi,n", [
+    (1, 2, [1]),  # n = 1
+    (1, 64, range(1, 64)),  # every n, lo = 1
+    (10**6, 10**6 + 300, [10**6, 10**6 + 299]),  # a square at lo
+    (10**6 - 299, 10**6 + 1, [10**6 - 299, 10**6]),  # a square at hi - 1
+    (2**40 - 2**21, 2**40 - 2**21 + 2**20 + 1, [(2**20 - 1) ** 2, 2**40 - 2**21 + 2**20]),
+    (3 * 25, 3 * 25 + 1, [3 * 25]),  # n = q * e * e exactly, q = 3, e = 5
+    (7 * 41**2 - 3, 7 * 41**2 + 4, [7 * 41**2 - 3, 7 * 41**2, 7 * 41**2 + 3]),
+])
+def test_divisor_count_edges(lo, hi, n):
+    n = np.array(sorted(n), dtype=np.int64)
+    _check_count([1], [1], lo, hi, n)
+    _check_count([1, 3, 7, 4, 9, 25], [1, 1, 1, -1, -1, -1], lo, hi, n)
+    _check_count(*_signed_powers(range(1, 30), 2), lo, hi, n)
+
+
+@pytest.mark.parametrize("kind", [DIVISOR, k_free_divisor(2), k_free_divisor(3), UNITARY_DIVISOR])
+def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
+    # the windows differ by one integer: the first is counted, the next
+    # has one pair too many for its width and is factored
+    sums = titchmarsh.sums
+    width = 4096
+    weights = sums._divisor_weights(kind, 2**24)
+    base = primes_up_to(2**12)
+    routes = []
+    for route in ("_count_part", "_factor_part"):
+        fn = getattr(sums, route)
+        monkeypatch.setattr(sums, route,
+                            lambda *args, fn=fn, route=route: routes.append(route) or fn(*args))
+    # the pair count grows with hi; find the first hi past the rule
+    lo_hi, hi = width, 2**24
+    while lo_hi < hi:
+        mid = (lo_hi + hi) // 2
+        if sums._pairs(weights[0], mid)[1].sum() * sums._COUNT_REACH > width:
+            hi = mid
+        else:
+            lo_hi = mid + 1
+    picked = []
+    for top in (hi - 1, hi):
+        lo = top - width
+        n = np.arange(lo, top, 3, dtype=np.int64)
+        routes.clear()
+        got = sums._value_part(kind, base, weights, lo, top, n)
+        picked.append(routes[0])
+        want = int(value_range(kind, lo, top)[n - lo].sum())
+        assert got == want == sums._count_part(*weights, lo, top, n), (kind.label, lo, top)
+    assert picked == ["_count_part", "_factor_part"]
+
+
+def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):
+    # criterion 7 compares the decompose total with the plain dk2 sum;
+    # the total must come from the kfree kernel and the plain sum from
+    # the count, or the check would compare one route with itself
+    calls = []
+    kfree = _kernels.ACTIVE.kfree
+
+    def counted(*args):
+        calls.append(args[:2])
+        return kfree(*args)
+
+    monkeypatch.setattr(_kernels.ACTIVE, "kfree", counted)
+    rep = decompose_s1_s2(2, 1, 10**5)
+    assert calls and calls[0][0] == 1 and calls[-1][1] == 10**5
+    calls.clear()
+    ref = shifted_prime_sum(k_free_divisor(2), 1, 10**5, [10**5])[-1].sum
+    assert calls == []
+    assert rep.s1 + rep.s2 == rep.total == ref
+
