@@ -8,9 +8,16 @@ through the window and divided out of a residual array, and a residual
 would have two factors above sqrt(n), exceeding n).  Each kernel is a
 local-factor rule folded over that stream.
 
+A sum reads its function only at n = p - a, about one n in log x, so
+the strike and every value kernel take an optional ascending array
+``at`` of window offsets: the residual then holds only those n, the
+values come back in the order of ``at``, and the sums are factored at
+the eligible n only.  Whole-window tables pass no ``at``.
+
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
-wrapper at run time.
+wrapper at run time.  Callers pass ``at`` positionally, so a wrapper
+that forwards ``*args`` forwards it too.
 """
 
 from math import isqrt
@@ -20,9 +27,10 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Primes below STRIDE_LIMIT and below 1/STRIDE_RATIO of the window width
-# update strided views of the window one prime at a time.  Larger primes
-# hit so few positions each that per-prime overhead would dominate, so
+# Primes below STRIDE_LIMIT and below 1/STRIDE_RATIO of the number of
+# integers struck (the window width, or the size of ``at``) update
+# strided views of the window one prime at a time.  Larger primes hit so
+# few of those integers each that per-prime overhead would dominate, so
 # they are struck together in batches of at most BATCH_HITS computed
 # hits, which bounds the memory a batch takes; the cofactors go out in
 # blocks of the same size.
@@ -55,23 +63,47 @@ def progressions(first, step, counts):
         i = j
 
 
-def strike(lo, hi, primes):
-    """Factor every n in [lo, hi) over the base primes.
+def strike(lo, hi, primes, at=None):
+    """Factor every n in [lo, hi) over the base primes, or with ``at``,
+    an ascending array of window offsets, only the n = lo + at[i].
 
-    Yields (idx, p, e): window offsets idx of the multiples of p and the
-    exponent e of p at each.  For the strided primes, idx is a slice and
-    p an int; above them, idx, p and e are arrays over a batch of primes
-    and idx may repeat a position.  Last come the cofactors, block by block
-    of at most BATCH_HITS positions: the positions whose residual
-    exceeds 1, the residual there, and exponent 1.
+    Yields (idx, p, e): the positions idx of the multiples of p and the
+    exponent e of p at each.  A position is a window offset, or with
+    ``at`` an index into ``at``.  For the strided primes p is an int and
+    idx a slice (an index array with ``at``) of distinct positions;
+    above them, idx, p and e are arrays over a batch of primes and idx
+    may repeat a position.  Last come the cofactors, block by block of
+    at most BATCH_HITS positions: the positions whose residual exceeds
+    1, the residual there, and exponent 1.
     """
     width = hi - lo
-    residual = np.arange(lo, hi, dtype=np.int64)
+    if at is None:
+        residual = np.arange(lo, hi, dtype=np.int64)
+    else:
+        at = np.asarray(at, dtype=np.int64)
+        residual = at + lo
+        # window offset -> index into at, -1 off at
+        where = np.full(width, -1, dtype=np.int32)
+        where[at] = np.arange(at.size, dtype=np.int32)
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
-    split = int(np.searchsorted(primes, min(STRIDE_LIMIT, width // STRIDE_RATIO)))
+    split = int(np.searchsorted(primes, min(STRIDE_LIMIT, residual.size // STRIDE_RATIO)))
     for p in primes[:split].tolist():
         s = -lo % p
         if s >= width:
+            continue
+        if at is not None:
+            idx = where[s::p]
+            idx = idx[idx >= 0]
+            if idx.size:
+                r = residual[idx] // p
+                e = np.ones(idx.size, dtype=np.int64)
+                hit = np.nonzero(r % p == 0)[0]
+                while hit.size:
+                    e[hit] += 1
+                    r[hit] //= p
+                    hit = hit[r[hit] % p == 0]
+                residual[idx] = r
+                yield idx, p, e
             continue
         view = residual[s::p]
         view //= p
@@ -89,8 +121,12 @@ def strike(lo, hi, primes):
     first = -lo % big
     counts = (width - first + big - 1) // big
     for which, idx in progressions(first, big, counts):
+        if at is not None:
+            idx = where[idx]
+            keep = idx >= 0
+            which, idx = which[keep], idx[keep]
         p = big[which]
-        q = (idx + lo) // p
+        q = residual[idx] // p
         e = np.ones(p.size, dtype=np.int64)
         pe = p.copy()
         hit = np.nonzero(q % p == 0)[0]
@@ -101,67 +137,75 @@ def strike(lo, hi, primes):
             hit = hit[q[hit] % p[hit] == 0]
         np.floor_divide.at(residual, idx, pe)
         yield idx, p, e
-    for c in range(0, width, BATCH_HITS):
+    for c in range(0, residual.size, BATCH_HITS):
         r = residual[c : c + BATCH_HITS]
         idx = np.nonzero(r > 1)[0]
         yield idx + c, r[idx], np.ones(idx.size, dtype=np.int64)
 
 
-def _fold(lo, hi, primes, ufunc, *factors, dtype=np.int64):
+def _fold(lo, hi, primes, ufunc, *factors, at=None, dtype=np.int64):
     """One ``dtype`` array per local factor: ufunc's identity combined by
     ufunc with factor(p, e) for every prime power p**e exactly dividing
-    each n in the window, in ascending order of p with the cofactor last."""
-    out = [np.full(hi - lo, ufunc.identity, dtype=dtype) for _ in factors]
-    for idx, p, e in strike(lo, hi, primes):
+    each n in the window (with ``at``, each n = lo + at[i]), in ascending
+    order of p with the cofactor last."""
+    size = hi - lo if at is None else len(at)
+    out = [np.full(size, ufunc.identity, dtype=dtype) for _ in factors]
+    for idx, p, e in strike(lo, hi, primes, at):
         for arr, factor in zip(out, factors):
-            if isinstance(idx, slice):
+            if not isinstance(p, int):
+                # a batch may repeat a position
+                ufunc.at(arr, idx, factor(p, e))
+            elif isinstance(idx, slice):
                 view = arr[idx]
                 ufunc(view, factor(p, e), out=view)
             else:
-                ufunc.at(arr, idx, factor(p, e))
+                arr[idx] = ufunc(arr[idx], factor(p, e))
     return out
 
 
 def _primality(lo, hi, primes):
+    # strikes from p*p on, the primes below 1/STRIDE_RATIO of the width as
+    # strided views and the rest in batches, as in ``strike``; a strided
+    # prime costs one slice assignment here, so STRIDE_LIMIT does not cap them
     width = hi - lo
     flags = np.ones(width, dtype=np.bool_)
-    for p in primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            flags[start - lo :: p] = False
-    for n in range(lo, min(hi, 2)):
-        flags[n - lo] = False
+    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
+    split = int(np.searchsorted(primes, width // STRIDE_RATIO))
+    for p in primes[:split].tolist():
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    big = primes[split:]
+    first = np.maximum(big * big, -(-lo // big) * big) - lo
+    for _, idx in progressions(first, big, (width - first + big - 1) // big):
+        flags[idx] = False
+    flags[: max(0, 2 - lo)] = False
     return flags
 
 
-def _divisor(lo, hi, primes):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: e + 1)[0]
+def _divisor(lo, hi, primes, at=None):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: e + 1, at=at)[0]
 
 
-def _kfree(lo, hi, primes, k):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.minimum(e, k - 1) + 1)[0]
+def _kfree(lo, hi, primes, k, at=None):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.minimum(e, k - 1) + 1, at=at)[0]
 
 
-def _omega(lo, hi, primes):
-    return _fold(lo, hi, primes, np.add, lambda p, e: 1)[0]
+def _omega(lo, hi, primes, at=None):
+    return _fold(lo, hi, primes, np.add, lambda p, e: 1, at=at)[0]
 
 
-def _mu(lo, hi, primes):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.where(e > 1, 0, -1))[0]
+def _mu(lo, hi, primes, at=None):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.where(e > 1, 0, -1), at=at)[0]
 
 
-def _pillai(lo, hi, primes):
+def _pillai(lo, hi, primes, at=None):
     # numerator and denominator of prod_{p^e || n} (p + e*(p-1)) / p
-    num, den = _fold(lo, hi, primes, np.multiply, lambda p, e: p + e * (p - 1), lambda p, e: p)
+    num, den = _fold(lo, hi, primes, np.multiply, lambda p, e: p + e * (p - 1), lambda p, e: p, at=at)
     return num, den
 
 
 def _fixed_parts(num, den, idx):
     # Exact partial sums of floor(num/den * 2**64) over the selected
-    # positions (idx is an int index array), decomposed so every
+    # positions (idx is an index array or a slice), decomposed so every
     # intermediate fits in int64: num < 2**40 * d(n) keeps num//den plus
     # three chained remainder shifts (23 + 23 + 18 = 64 bits) in range.
     # Weights of the four parts: 2**64, 2**41, 2**18, 2**0.

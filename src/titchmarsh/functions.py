@@ -141,8 +141,9 @@ def mu_k(n, k):
 _RANGE_KINDS = {"d", "dk", "unitary", "omega", "mu"}
 
 
-def value_range(kind, lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH):
-    """Values of an integer-valued kind over [lo, hi) as int64.
+def value_range(kind, lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=None):
+    """Values of an integer-valued kind over [lo, hi) as int64, or with
+    ``at``, an ascending int array of offsets, at the n = lo + at only.
 
     Kinds: d, dk, unitary, omega, mu.  ``base`` defaults to a fresh
     sieve reaching isqrt(hi - 1).
@@ -156,19 +157,22 @@ def value_range(kind, lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH):
 
     _check_window(seg, base, 1, max_width)
     impl = _kernels.ACTIVE
+    # the kernels take ``at`` positionally
+    args = (seg.lo, seg.hi, base.primes)
     if kind.tag == "d":
-        return impl.divisor(seg.lo, seg.hi, base.primes)
+        return impl.divisor(*args, at)
     if kind.tag == "dk":
-        return impl.kfree(seg.lo, seg.hi, base.primes, kind.k)
+        return impl.kfree(*args, kind.k, at)
     if kind.tag == "unitary":
-        return np.left_shift(np.int64(1), impl.omega(seg.lo, seg.hi, base.primes))
+        return np.left_shift(np.int64(1), impl.omega(*args, at))
     if kind.tag == "omega":
-        return impl.omega(seg.lo, seg.hi, base.primes)
-    return impl.mu(seg.lo, seg.hi, base.primes)
+        return impl.omega(*args, at)
+    return impl.mu(*args, at)
 
 
-def pillai_range(lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH):
-    """Numerator and denominator arrays of P(n) over [lo, hi).
+def pillai_range(lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=None):
+    """Numerator and denominator arrays of P(n) over [lo, hi), or with
+    ``at``, an ascending int array of offsets, at the n = lo + at only.
 
     Entries are the exact product forms (not reduced); num/den == P(n).
     """
@@ -178,7 +182,7 @@ def pillai_range(lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH):
     from .sieve import _check_window
 
     _check_window(seg, base, 1, max_width)
-    return _kernels.ACTIVE.pillai(seg.lo, seg.hi, base.primes)
+    return _kernels.ACTIVE.pillai(seg.lo, seg.hi, base.primes, at)
 
 
 def function_table(kind, n, base=None):

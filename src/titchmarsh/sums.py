@@ -20,11 +20,14 @@ by q is a count of the n on the window's bitmap in the progressions
   q = j**k, weight mu(j) for dk (dk = mu_k * d; unitary is dk with
   k = 2), in windows at least _COUNT_REACH times as wide as the count
   has pairs (q, e), isqrt(n_max) of them for d.  Narrower windows, and
-  so higher n, go to the factor route, the value kernel of the n-window.
+  so higher n, go to the factor route (``_factor_part``).
 
-Factored: Pillai sums, and the total of ``decompose``, which stays on
-the kfree kernel so that s1 + s2 = total compares two independent
-routes.
+Factored: Pillai sums, the factor route above, and the total of
+``decompose``, which stays on the kfree kernel so that s1 + s2 = total
+compares two independent routes.  A sum reads g only at n = p - a,
+about one integer in log x, so these are factored at the eligible n
+only: the value kernel gets their offsets as ``at`` and divides nothing
+else of the window.
 
 Pillai sums are rationals, so floating addition would make the total
 depend on summation order.  Instead each term P(n) = num/den is scaled
@@ -58,6 +61,7 @@ from .functions import (
     function_table,
     integer_kth_root,
     k_free_divisor,
+    pillai_range,
     value_range,
 )
 from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, iter_segments, primes_up_to
@@ -262,13 +266,16 @@ def _count_part(qs, cs, lo, hi, n):
 
 
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
-# for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk.  Factoring pays
-# per integer of the window and per base prime.  Count over factor time
-# per 2**20 window, against pairs / width: d 0.25 at 0.010 (near 10**8),
-# 0.61 at 0.095 (10**10), 1.17 at 0.71 (2**39); dk2 0.56 at 0.061 (10**8)
-# and 1.48 at 0.74 (10**10).  So a window is counted when it is at least
-# _COUNT_REACH times as wide as its pairs.
-_COUNT_REACH = 5
+# for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk.  The factor
+# route strikes only the eligible n, so it costs nearly the same in every
+# 2**20 window, 25-31 ms from 10**6 to 2**39.  Count over factor time per
+# 2**20 window, against pairs / width (BENCH_8.json): d 0.51 at 0.0096
+# (near 10**8), 0.83 at 0.017 (3*10**8), 1.05 at 0.030 (10**9), 1.73 at
+# 0.095 (10**10); dk2 0.60 at 0.013 (5*10**6), 0.80 at 0.026 (2*10**7),
+# 1.39 at 0.061 (10**8).  The two cross at 0.027-0.038 pairs per integer,
+# so a window is counted when it is at least _COUNT_REACH times as wide
+# as its pairs.
+_COUNT_REACH = 25
 
 
 def _value_part(kind, base, weights, lo, hi, n):
@@ -280,16 +287,15 @@ def _value_part(kind, base, weights, lo, hi, n):
 
 
 def _factor_part(kind, base, lo, hi, n):
-    # sum of g(n) from the value kernel of the n-window; pillai terms are
-    # scaled by 2**64, exactly
+    # sum of g(n) from the value kernel, factoring only the n of the
+    # window; pillai terms are scaled by 2**64, exactly
     if n.size == 0:
         return 0
     if kind.tag == "pillai":
-        num, den = _kernels.ACTIVE.pillai(lo, hi, base.primes)
-        parts = _kernels.ACTIVE.fixed_parts(num, den, n - lo)
+        num, den = pillai_range(lo, hi, base, hi - lo, n - lo)
+        parts = _kernels.ACTIVE.fixed_parts(num, den, slice(None))
         return sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
-    vals = value_range(kind, lo, hi, base=base, max_width=hi - lo)
-    return int(vals[n - lo].sum())
+    return int(value_range(kind, lo, hi, base, hi - lo, n - lo).sum())
 
 
 def _checkpoint_records(a, kind, checkpoints, partials, const):

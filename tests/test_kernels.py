@@ -1,6 +1,8 @@
 """Kernels against the trial-division oracle: every value kernel must
 equal ``evaluate(kind, factorize_int(n))``, and every factorization row
-must multiply back to its n."""
+must multiply back to its n.  A kernel given ``at`` must equal the
+dense kernel read at ``at``, and the primality bitmap must mark exactly
+the primes."""
 
 import random
 from fractions import Fraction
@@ -72,6 +74,10 @@ def test_batched_primes_with_square_factors(n):
     _check_against_oracle(lo, hi, range(hi - lo))
     _check_rows(lo, hi)
     assert factorize_range(Segment(lo, hi), _BASE).factors(n) == factorize_int(n)
+    # and struck sparsely, with n among the offsets
+    at = np.arange((n - lo) % 7, hi - lo, 7)
+    assert n - lo in at
+    _check_sparse(lo, hi, at)
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 1 + 512), (2, 2 + 1024), (999001, 1000000)])
@@ -122,3 +128,101 @@ def test_fixed_parts_single_term_matches_fraction():
     w = (1 << 64, 1 << 41, 1 << 18, 1)
     total = sum(int(q) * wi for q, wi in zip(parts, w))
     assert total == (Fraction(293, 15) * (1 << 64)).__floor__()
+
+
+_FIXED_WEIGHTS = (1 << 64, 1 << 41, 1 << 18, 1)
+
+
+def _fixed_sum(num, den, idx):
+    parts = _kernels.ACTIVE.fixed_parts(num, den, idx)
+    return sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
+
+
+def _check_sparse(lo, hi, at):
+    # every kernel at the offsets ``at`` equals the dense kernel read there
+    impl = _kernels.ACTIVE
+    base = _BASE.primes
+    at = np.asarray(at, dtype=np.int64)
+    for name, args in (("divisor", ()), ("kfree", (2,)), ("kfree", (3,)), ("omega", ()), ("mu", ())):
+        kernel = getattr(impl, name)
+        dense = kernel(lo, hi, base, *args)
+        sparse = kernel(lo, hi, base, *args, at)
+        assert sparse.shape == at.shape
+        assert np.array_equal(sparse, dense[at]), (name, args, lo, hi)
+    num, den = impl.pillai(lo, hi, base)
+    snum, sden = impl.pillai(lo, hi, base, at)
+    assert _fixed_sum(snum, sden, slice(None)) == _fixed_sum(num, den, at), (lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(1, 2**40), width=st.integers(1, 4096),
+       density=st.sampled_from([1.0, 0.5, 0.05, 0.0]), seed=st.integers(0, 2**32))
+def test_sparse_kernels_match_dense_on_random_windows(lo, width, density, seed):
+    rng = np.random.default_rng(seed)
+    _check_sparse(lo, lo + width, np.nonzero(rng.random(width) < density)[0])
+
+
+def test_sparse_repeated_index_in_one_batch():
+    # 4099 and 4111 are both batched base primes of n, struck in the same
+    # batch, so the batch repeats n's index
+    n = 3 * 4099 * 4111
+    lo, hi = n - 2048, n + 2048
+    at = np.arange((n - lo) % 5, hi - lo, 5)
+    i = int(np.searchsorted(at, n - lo))
+    assert at[i] == n - lo
+    batches = [idx for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at)
+               if not isinstance(p, int) and (p == 4099).any()]
+    assert len(batches) == 1 and np.count_nonzero(batches[0] == i) == 2
+    _check_sparse(lo, hi, at)
+
+
+def test_sparse_more_offsets_than_a_batch():
+    # the cofactors of a sparse strike come out in blocks over at.size
+    lo, hi = 10**8, 10**8 + (1 << 18)
+    at = np.arange(0, hi - lo, 2)
+    assert at.size > _kernels.BATCH_HITS
+    sizes = [idx.size for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at)
+             if not isinstance(p, int)]
+    assert max(sizes) <= _kernels.BATCH_HITS
+    _check_sparse(lo, hi, at)
+
+
+def test_sparse_window_narrower_than_the_stride_limit():
+    # width / STRIDE_RATIO < STRIDE_LIMIT: the strided primes stop at
+    # width / 64, and the rest of the primes below 2**12 are batched
+    lo, hi = 10**10, 10**10 + (1 << 17)
+    assert (hi - lo) // _kernels.STRIDE_RATIO < _kernels.STRIDE_LIMIT
+    rng = np.random.default_rng(5)
+    _check_sparse(lo, hi, np.nonzero(rng.random(hi - lo) < 0.05)[0])
+
+
+def _prime_flags(lo, hi):
+    # the primes of [lo, hi) from the factorization rows: n is prime when
+    # its row is n itself
+    fr = factorize_range(Segment(lo, hi), _BASE)
+    return np.array([factors == [(n, 1)] for n, factors in fr.items()], dtype=np.bool_)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 63, 64, 65, 1000, 4096])
+def test_primality_matches_primes_up_to(width):
+    top = 1 << 16
+    flags = np.zeros(top + 4096, dtype=np.bool_)
+    flags[primes_up_to(top + 4095).primes] = True
+    for lo in range(1, top, max(1, top // 64) + width):
+        got = _kernels.ACTIVE.primality(lo, lo + width, _BASE.primes)
+        assert np.array_equal(got, flags[lo : lo + width]), (lo, width)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lo=st.integers(1, 2**40), width=st.integers(1, 4096))
+def test_primality_matches_the_factorization_rows(lo, width):
+    got = _kernels.ACTIVE.primality(lo, lo + width, _BASE.primes)
+    assert np.array_equal(got, _prime_flags(lo, lo + width))
+
+
+@pytest.mark.parametrize("width", [1, 64, 4096])
+def test_primality_near_2_39(width):
+    # ~60,000 base primes, nearly all of them batched
+    lo = 2**39 - width // 2
+    got = _kernels.ACTIVE.primality(lo, lo + width, _BASE.primes)
+    assert np.array_equal(got, _prime_flags(lo, lo + width))

@@ -446,7 +446,7 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
     # the windows differ by one integer: the first is counted, the next
     # has one pair too many for its width and is factored
     sums = titchmarsh.sums
-    width = 4096
+    width = 1 << 14
     weights = sums._divisor_weights(kind, 2**24)
     base = primes_up_to(2**12)
     routes = []
@@ -493,3 +493,43 @@ def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):
     assert calls == []
     assert rep.s1 + rep.s2 == rep.total == ref
 
+
+
+def _record_at(monkeypatch, name):
+    # the ``at`` of every call to kernel ``name``, None when it factors
+    # the whole window
+    calls = []
+    kernel = getattr(_kernels.ACTIVE, name)
+    narg = 5 if name == "kfree" else 4
+
+    def recorded(*args):
+        calls.append(args[narg - 1] if len(args) == narg else None)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels.ACTIVE, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind,a,x", [(PILLAI, 1, 10**5), (DIVISOR, -(2**39), 10**4)])
+def test_sums_factor_only_the_eligible_n(monkeypatch, kind, a, x):
+    # Pillai, and d in windows near 2**39 (too narrow to count), are
+    # factored at the n = p - a of the eligible primes and nowhere else
+    name = "pillai" if kind is PILLAI else "divisor"
+    calls = _record_at(monkeypatch, name)
+    rec = shifted_prime_sum(kind, a, x, [x])[-1]
+    eligible = primes_up_to(x).primes
+    eligible = eligible[eligible > a]
+    assert rec.skipped_primes == len(primes_up_to(x)) - eligible.size
+    assert calls and all(at is not None for at in calls)
+    assert sum(at.size for at in calls) == eligible.size
+    if kind is DIVISOR:
+        n = eligible - a
+        lo = int(n[0])
+        assert rec.sum == int(value_range(DIVISOR, lo, int(n[-1]) + 1)[n - lo].sum())
+
+
+def test_function_table_factors_whole_windows(monkeypatch):
+    calls = _record_at(monkeypatch, "divisor")
+    table = function_table(DIVISOR, 5000)
+    assert calls == [None]
+    assert table[1:13].tolist() == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
