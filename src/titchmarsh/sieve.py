@@ -52,22 +52,25 @@ class Segment:
 
 
 def primes_up_to(n):
-    """Sieve of Eratosthenes up to and including n.
+    """All primes up to and including n, by the segmented sieve: the
+    primes up to isqrt(n), found the same way, are struck through each
+    window of ``iter_segments(2, n + 1)`` by the primality kernel.
 
-    Memory is one byte per integer up to n, so keep n at desk scale
-    (the package never needs more than ~10**7 internally).
+    Memory is one window of flags plus the primes returned.
     """
     n = int(n)
     if n < 2:
         raise ValueError("no primes below 2")
     if n > MAX_PRIME_LIMIT:
         raise ValueError(f"prime limit {n} exceeds {MAX_PRIME_LIMIT}")
-    flags = np.ones(n + 1, dtype=np.bool_)
-    flags[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return PrimeList(n, np.nonzero(flags)[0].astype(np.int64))
+    if n < 4:
+        return PrimeList(n, np.arange(2, n + 1, dtype=np.int64))
+    base = primes_up_to(isqrt(n)).primes
+    found = [
+        np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, base)) + seg.lo
+        for seg in iter_segments(2, n + 1)
+    ]
+    return PrimeList(n, np.concatenate(found))
 
 
 def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):

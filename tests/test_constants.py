@@ -33,7 +33,18 @@ def test_zeta_closed_forms():
 
 
 def test_zeta3_against_mpmath():
-    assert math.isclose(zeta_value(3), float(mpmath.zeta(3)), rel_tol=1e-15)
+    assert zeta_value(3) == float(mpmath.zeta(3))
+
+
+def test_zeta3_is_the_truncated_series():
+    # the literal is sum_{m <= 10**6} m**-3 plus its Euler-Maclaurin tail
+    # (integral, half-term, two curvature terms; the next, 1/(12 n**8), is
+    # far below double resolution), which T(a) reports as its truncation
+    n = 10**6
+    head = math.fsum(m**-3 for m in range(1, n + 1))
+    tail = 0.5 / n**2 - 0.5 / n**3 + 0.25 / n**4 - 1.0 / (12.0 * n**6)
+    assert head + tail == zeta_value(3)
+    assert titchmarsh_factor(1).truncation == n
 
 
 def test_zeta_unsupported_arguments():

@@ -1,5 +1,7 @@
 """Segmented sieve: enumeration, windowed primality, windowed factorization."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,42 @@ def test_primes_up_to_records_limit():
     base = primes_up_to(50)
     assert base.limit == 50
     assert len(base) == 15
+
+
+def _byte_sieve(n):
+    # independent reference: a plain sieve of Eratosthenes over [0, n]
+    flags = np.ones(n + 1, dtype=np.bool_)
+    flags[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def _check_primes_up_to(n, reference):
+    got = primes_up_to(n)
+    assert got.limit == n
+    assert got.primes.dtype == np.int64
+    assert np.array_equal(got.primes, reference[: np.searchsorted(reference, n, side="right")]), n
+
+
+def test_primes_up_to_every_small_limit():
+    reference = np.array([n for n in range(5001) if _is_prime(n)])
+    for n in range(2, 5001):
+        _check_primes_up_to(n, reference)
+
+
+def test_primes_up_to_at_the_window_seams():
+    w = DEFAULT_SEGMENT_WIDTH
+    # the smallest primes whose squares lie past the first and second
+    # window edges: at n = p*p the base primes end exactly at p
+    squares = [p * p for p in (1031, 1451)]
+    assert all(_is_prime(isqrt(q)) for q in squares)
+    assert w < squares[0] < 2 * w < squares[1]
+    limits = [2, 3, 4, w - 1, w, w + 1, 2 * w + 1] + squares + [q - 1 for q in squares]
+    reference = _byte_sieve(max(limits))
+    for n in limits:
+        _check_primes_up_to(n, reference)
 
 
 def test_primes_up_to_domain():
