@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .constants import (
@@ -26,32 +26,12 @@ from .constants import (
     felix_cm,
     titchmarsh_factor,
 )
-from .functions import DIVISOR, PILLAI, UNITARY_DIVISOR, k_free_divisor
+from .functions import FunctionKind
 from .sieve import DEFAULT_SEGMENT_WIDTH
 from .sums import decompose_s1_s2, felix_partial_sum, shifted_prime_sum
 
 _SMALL_M = (1, 2, 3, 4, 5, 6)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs for one CLI invocation."""
-
-    cmd: str
-    a: int = 1
-    k: int = 2
-    x: int = 0
-    m: int = 1
-    B: float = 2.0
-    prime_limit: int = DEFAULT_PRIME_LIMIT
-    series_limit: int = DEFAULT_SERIES_LIMIT
-    checkpoints: tuple | None = None
-    segment_width: int = DEFAULT_SEGMENT_WIDTH
-    workers: int | None = None
-    fn: str = "d"
-    level: str = "fast"
-    fmt: str = "table"
-    output: str | None = None
+_WIDTH_HELP = f"integers per segment, in [1, {DEFAULT_SEGMENT_WIDTH}]"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +65,7 @@ def build_parser():
     s.add_argument("--a", type=int, default=1)
     s.add_argument("--x", type=int, required=True)
     s.add_argument("--checkpoints", type=int, nargs="+", default=None)
-    s.add_argument("--segment-width", type=int, default=DEFAULT_SEGMENT_WIDTH)
+    s.add_argument("--segment-width", type=int, default=DEFAULT_SEGMENT_WIDTH, help=_WIDTH_HELP)
     s.add_argument("--workers", type=int, default=None)
     _add_common(s)
 
@@ -93,7 +73,7 @@ def build_parser():
     f.add_argument("--m", type=int, required=True)
     f.add_argument("--a", type=int, default=1)
     f.add_argument("--x", type=int, required=True)
-    f.add_argument("--segment-width", type=int, default=DEFAULT_SEGMENT_WIDTH)
+    f.add_argument("--segment-width", type=int, default=DEFAULT_SEGMENT_WIDTH, help=_WIDTH_HELP)
     f.add_argument("--workers", type=int, default=None)
     _add_common(f)
 
@@ -102,7 +82,7 @@ def build_parser():
     d.add_argument("--a", type=int, default=1)
     d.add_argument("--x", type=int, required=True)
     d.add_argument("--B", type=float, default=2.0)
-    d.add_argument("--segment-width", type=int, default=DEFAULT_SEGMENT_WIDTH)
+    d.add_argument("--segment-width", type=int, default=DEFAULT_SEGMENT_WIDTH, help=_WIDTH_HELP)
     d.add_argument("--workers", type=int, default=None)
     _add_common(d)
 
@@ -110,22 +90,6 @@ def build_parser():
     v.add_argument("--level", choices=("fast", "full"), default="fast")
     _add_common(v)
     return p
-
-
-def _config(ns):
-    kw = {"cmd": ns.cmd, "fmt": ns.format, "output": ns.output}
-    for field in ("a", "k", "x", "m", "B", "fn", "level", "workers"):
-        if hasattr(ns, field):
-            kw[field] = getattr(ns, field)
-    if hasattr(ns, "prime_limit"):
-        kw["prime_limit"] = ns.prime_limit
-    if hasattr(ns, "series_limit"):
-        kw["series_limit"] = ns.series_limit
-    if hasattr(ns, "segment_width"):
-        kw["segment_width"] = ns.segment_width
-    if getattr(ns, "checkpoints", None) is not None:
-        kw["checkpoints"] = tuple(ns.checkpoints)
-    return RunConfig(**kw)
 
 
 def _real(v):
@@ -176,89 +140,47 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _sum_kind(cfg):
-    if cfg.fn == "d":
-        return DIVISOR
-    if cfg.fn == "dk":
-        return k_free_divisor(cfg.k)
-    if cfg.fn == "unitary":
-        return UNITARY_DIVISOR
-    return PILLAI
+def _dict_rows(dicts):
+    # table header and rows of records from their to_dict(), in key order
+    return tuple(dicts[0]), [tuple(d.values()) for d in dicts]
 
 
-_SUM_HEADER = ("x", "a", "fn", "k", "sum", "main_term", "normalized_error", "skipped_primes")
-
-
-def _run_sum(cfg):
+def _run_sum(ns):
+    kind = FunctionKind(ns.fn, ns.k if ns.fn == "dk" else None)
     records = shifted_prime_sum(
-        _sum_kind(cfg),
-        cfg.a,
-        cfg.x,
-        list(cfg.checkpoints) if cfg.checkpoints else None,
-        segment_width=cfg.segment_width,
-        workers=cfg.workers,
-        prime_limit=cfg.prime_limit,
-        series_limit=cfg.series_limit,
+        kind, ns.a, ns.x, ns.checkpoints, segment_width=ns.segment_width, workers=ns.workers
     )
-    rows = [
-        (r.x, r.a, r.kind.tag, r.kind.k, r.sum, r.main_term, r.normalized_error, r.skipped_primes)
-        for r in records
-    ]
-    return _SUM_HEADER, rows, [r.to_dict() for r in records]
+    dicts = [r.to_dict() for r in records]
+    return (*_dict_rows(dicts), dicts)
 
 
-_CONST_HEADER = ("name", "k", "a", "m", "value", "truncation", "tail_bound", "rounding_bound")
-
-
-def _run_constants(cfg):
-    rows = []
+def _run_constants(ns):
+    dicts = []
 
     def add(name, res, k=None, m=None):
-        rows.append((name, k, cfg.a, m, res.value, res.truncation, res.tail_bound, res.rounding_bound))
+        dicts.append({"name": name, "k": k, "a": ns.a, "m": m, **asdict(res)})
 
-    add("titchmarsh_factor", titchmarsh_factor(cfg.a))
+    add("titchmarsh_factor", titchmarsh_factor(ns.a))
     for m in _SMALL_M:
-        add("felix_cm", felix_cm(m, cfg.a), m=m)
-    add("bk_product", bk_product(cfg.k, cfg.a, cfg.prime_limit), k=cfg.k)
-    add("cf_series_mu_k", cf_series(CfSpec.mu_k_rule(cfg.k), cfg.a, cfg.series_limit), k=cfg.k)
-    add("cf_series_pillai", cf_series(CfSpec.pillai_rule(), cfg.a, cfg.series_limit))
-    json_obj = [
-        {
-            "name": n,
-            "k": k,
-            "a": a,
-            "m": m,
-            "value": v,
-            "truncation": t,
-            "tail_bound": tb,
-            "rounding_bound": rb,
-        }
-        for n, k, a, m, v, t, tb, rb in rows
-    ]
-    return _CONST_HEADER, rows, json_obj
+        add("felix_cm", felix_cm(m, ns.a), m=m)
+    add("bk_product", bk_product(ns.k, ns.a, ns.prime_limit), k=ns.k)
+    add("cf_series_mu_k", cf_series(CfSpec.mu_k_rule(ns.k), ns.a, ns.series_limit), k=ns.k)
+    add("cf_series_pillai", cf_series(CfSpec.pillai_rule(), ns.a, ns.series_limit))
+    return (*_dict_rows(dicts), dicts)
 
 
-_FELIX_HEADER = ("m", "a", "x", "t_sum", "predicted")
-
-
-def _run_felix(cfg):
-    rec = felix_partial_sum(
-        cfg.m, cfg.a, cfg.x, segment_width=cfg.segment_width, workers=cfg.workers
-    )
-    return _FELIX_HEADER, [(rec.m, rec.a, rec.x, rec.t_sum, rec.predicted)], rec.to_dict()
+def _run_felix(ns):
+    rec = felix_partial_sum(ns.m, ns.a, ns.x, segment_width=ns.segment_width, workers=ns.workers)
+    d = rec.to_dict()
+    return (*_dict_rows([d]), d)
 
 
 _DECOMP_HEADER = ("row", "m", "mu", "t_m", "k", "a", "x", "B", "threshold", "s1", "s2", "total")
 
 
-def _run_decompose(cfg):
+def _run_decompose(ns):
     rep = decompose_s1_s2(
-        cfg.k,
-        cfg.a,
-        cfg.x,
-        cfg.B,
-        segment_width=cfg.segment_width,
-        workers=cfg.workers,
+        ns.k, ns.a, ns.x, ns.B, segment_width=ns.segment_width, workers=ns.workers
     )
     rows = [
         (
@@ -281,8 +203,8 @@ def _run_decompose(cfg):
     return _DECOMP_HEADER, rows, rep.to_dict()
 
 
-def _run_verify(cfg):
-    results = verify_mod.run(cfg.level)
+def _run_verify(ns):
+    results = verify_mod.run(ns.level)
     header = ("check", "status", "seconds", "detail")
     rows = [(r.name, "PASS" if r.ok else "FAIL", f"{r.seconds:.2f}", r.detail) for r in results]
     json_obj = [
@@ -305,23 +227,22 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits; keep main returning codes
         return int(exc.code or 0)
-    cfg = _config(ns)
     try:
-        if cfg.cmd == "verify":
-            header, rows, json_obj, failed = _run_verify(cfg)
-            _emit(_render(cfg.fmt, header, rows, json_obj), cfg.output)
+        if ns.cmd == "verify":
+            header, rows, json_obj, failed = _run_verify(ns)
+            _emit(_render(ns.format, header, rows, json_obj), ns.output)
             return 3 if failed else 0
         handler = {
             "sum": _run_sum,
             "constants": _run_constants,
             "felix": _run_felix,
             "decompose": _run_decompose,
-        }[cfg.cmd]
-        header, rows, json_obj = handler(cfg)
+        }[ns.cmd]
+        header, rows, json_obj = handler(ns)
     except ValueError as exc:
-        _emit(_error_text(cfg.fmt, str(exc)), cfg.output)
+        _emit(_error_text(ns.format, str(exc)), ns.output)
         return 2
-    _emit(_render(cfg.fmt, header, rows, json_obj), cfg.output)
+    _emit(_render(ns.format, header, rows, json_obj), ns.output)
     return 0
 
 

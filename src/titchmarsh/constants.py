@@ -149,6 +149,24 @@ def zeta_product_identity_gap(prime_limit):
     return abs(closed - prod)
 
 
+def _tail_power(cut, k):
+    """cut**(k - 1) as a double, for the tail envelopes that divide by
+    (k - 1) * cut**(k - 1).  A k for which that denominator is not a
+    finite double is refused, so the bound on k is the cut's own:
+    k <= 154 at 100 primes, 44 at 10**7, 39 at MAX_PRODUCT_LIMIT, and,
+    with the series cut 256 * m_limit, k <= 48 at the default m_limit
+    and 37 at MAX_SERIES_LIMIT."""
+    if k < 2:
+        raise ValueError("need k >= 2")
+    try:
+        power = float(cut) ** (k - 1)
+        if math.isfinite((k - 1) * power):
+            return power
+    except OverflowError:
+        pass
+    raise ValueError(f"k = {k} is too large for the cut {cut}: (k - 1) * {cut}**(k - 1) overflows")
+
+
 def bk_product(k, a, prime_limit=DEFAULT_PRIME_LIMIT):
     """Closed-product constant b_k for the k-free divisor sum.
 
@@ -163,9 +181,8 @@ def bk_product(k, a, prime_limit=DEFAULT_PRIME_LIMIT):
     T = 2 / ((k-1) P^(k-1)).
     """
     k = int(k)
-    if k < 2:
-        raise ValueError("need k >= 2")
     prime_limit = _check_prime_limit(prime_limit, 100)
+    power = _tail_power(prime_limit, k)
     a = int(a)
     t = titchmarsh_factor(a)
     pf = primes_up_to(prime_limit).primes.astype(np.float64)
@@ -177,7 +194,7 @@ def bk_product(k, a, prime_limit=DEFAULT_PRIME_LIMIT):
         value = t.value * math.exp(math.fsum(memoryview(np.log1p(-u))))
     else:
         value = t.value * float(np.prod(1.0 - u))
-    tail = value * 2.0 / ((k - 1) * float(prime_limit) ** (k - 1))
+    tail = value * 2.0 / ((k - 1) * power)
     rounding = (8 * pf.size + 64) * _EPS * abs(value)
     return ConstantResult(value, prime_limit, tail, rounding)
 
@@ -297,9 +314,10 @@ def _cf_tail_envelope(m_cut, k):
     for d <= Q and sum_t t^-k = zeta(k) for d > Q.
     """
     q = _TAIL_STRETCH * m_cut
+    power = _tail_power(q, k)
     terms = _series_terms(m_cut + 1, q + 1, k)
     mid = math.fsum(chain.from_iterable(memoryview(np.abs(t)) for t in terms))
-    rem = _g_series_constant() * (k / (k - 1.0) + _zeta_upper(k)) / float(q) ** (k - 1)
+    rem = _g_series_constant() * (k / (k - 1.0) + _zeta_upper(k)) / power
     return mid + rem
 
 
@@ -320,11 +338,12 @@ def cf_series(spec, a, m_limit=DEFAULT_SERIES_LIMIT):
     if spec.rule == "unit":
         return t
     k = spec.k if spec.rule == "mu_k" else 2
+    # the envelope goes first: it refuses a k too large for its cut
+    tail = t.value * _cf_tail_envelope(m_limit, k)
     # mu_k rule: sum_j mu(j) c_{j^k} / j^k; pillai: sum_m mu(m) c_m / m^2
     terms = np.concatenate(list(_series_terms(1, m_limit + 1, k)))
     series = math.fsum(memoryview(terms))
     value = t.value * series
-    tail = t.value * _cf_tail_envelope(m_limit, k)
     abs_sum = t.value * math.fsum(memoryview(np.abs(terms)))
     rounding = _EPS * (16.0 * abs_sum + 4.0 * abs(value)) + t.rounding_bound
     return ConstantResult(value, m_limit, tail, rounding)

@@ -22,7 +22,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _kernels
-from .sieve import DEFAULT_SEGMENT_WIDTH, Segment, iter_segments, primes_up_to
+from .sieve import Segment, _check_window, iter_segments, primes_up_to
 
 _PARAMETRIC = {"dk", "mu_k"}
 _TAGS = {"d", "dk", "unitary", "omega", "mu", "phi", "mu_k", "pillai"}
@@ -141,7 +141,7 @@ def mu_k(n, k):
 _RANGE_KINDS = {"d", "dk", "unitary", "omega", "mu"}
 
 
-def value_range(kind, lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=None):
+def value_range(kind, lo, hi, base=None, at=None):
     """Values of an integer-valued kind over [lo, hi) as int64, or with
     ``at``, an ascending int array of offsets, at the n = lo + at only.
 
@@ -153,9 +153,7 @@ def value_range(kind, lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=Non
     seg = Segment(int(lo), int(hi))
     if base is None:
         base = primes_up_to(max(2, isqrt(seg.hi - 1)))
-    from .sieve import _check_window
-
-    _check_window(seg, base, 1, max_width)
+    _check_window(seg, base, 1)
     impl = _kernels.ACTIVE
     # the kernels take ``at`` positionally
     args = (seg.lo, seg.hi, base.primes)
@@ -170,7 +168,7 @@ def value_range(kind, lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=Non
     return impl.mu(*args, at)
 
 
-def pillai_range(lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=None):
+def pillai_range(lo, hi, base=None, at=None):
     """Numerator and denominator arrays of P(n) over [lo, hi), or with
     ``at``, an ascending int array of offsets, at the n = lo + at only.
 
@@ -179,9 +177,7 @@ def pillai_range(lo, hi, base=None, max_width=DEFAULT_SEGMENT_WIDTH, at=None):
     seg = Segment(int(lo), int(hi))
     if base is None:
         base = primes_up_to(max(2, isqrt(seg.hi - 1)))
-    from .sieve import _check_window
-
-    _check_window(seg, base, 1, max_width)
+    _check_window(seg, base, 1)
     return _kernels.ACTIVE.pillai(seg.lo, seg.hi, base.primes, at)
 
 

@@ -77,11 +77,13 @@ def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
     """Segments covering [lo, hi), cut on the absolute width grid and
     additionally at every boundary in ``cuts`` that falls inside.
 
-    The range may span at most MAX_SEGMENTS widths."""
+    The width lies in [1, DEFAULT_SEGMENT_WIDTH], so every window fits
+    the cap of the window functions, and the range may span at most
+    MAX_SEGMENTS widths."""
     if not lo < hi:
         raise ValueError("empty range")
-    if width < 1:
-        raise ValueError(f"segment width must be >= 1, got {width}")
+    if not 1 <= width <= DEFAULT_SEGMENT_WIDTH:
+        raise ValueError(f"segment width must lie in [1, {DEFAULT_SEGMENT_WIDTH}], got {width}")
     if hi - lo > MAX_SEGMENTS * width:
         raise ValueError(
             f"segment width {width} is too narrow for [{lo}, {hi}): "
@@ -99,17 +101,17 @@ def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
     return [Segment(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _check_window(seg, base, min_lo, max_width):
+def _check_window(seg, base, min_lo):
     if seg.lo < min_lo:
         raise ValueError(f"window must start at {min_lo} or above")
-    if seg.width > max_width:
-        raise ValueError(f"segment width {seg.width} exceeds cap {max_width}")
+    if seg.width > DEFAULT_SEGMENT_WIDTH:
+        raise ValueError(f"segment width {seg.width} exceeds cap {DEFAULT_SEGMENT_WIDTH}")
     need = isqrt(seg.hi - 1)
     if base.limit < need:
         raise ValueError(f"base primes reach {base.limit}, need {need}")
 
 
-def primality_range(seg, base, max_width=DEFAULT_SEGMENT_WIDTH):
+def primality_range(seg, base):
     """Boolean primality bitmap for the window.
 
     Parameters
@@ -123,7 +125,7 @@ def primality_range(seg, base, max_width=DEFAULT_SEGMENT_WIDTH):
     -------
     np.ndarray of bool, length seg.width; entry i refers to seg.lo + i.
     """
-    _check_window(seg, base, 2, max_width)
+    _check_window(seg, base, 2)
     return _kernels.ACTIVE.primality(seg.lo, seg.hi, base.primes)
 
 
@@ -158,14 +160,14 @@ class FactoredRange:
             yield n, self.factors(n)
 
 
-def factorize_range(seg, base, max_width=DEFAULT_SEGMENT_WIDTH):
+def factorize_range(seg, base):
     """Complete factorizations over the window (lo >= 1).
 
     The hits of the shared strike are stable-sorted by position, so each
     row lists its base primes ascending with the cofactor last.  Product
     of p**e over each row reconstructs n exactly.
     """
-    _check_window(seg, base, 1, max_width)
+    _check_window(seg, base, 1)
     pos = np.arange(seg.width, dtype=np.int64)
     hits = [
         (pos[idx], np.broadcast_to(np.int64(p), e.shape), e)

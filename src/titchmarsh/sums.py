@@ -46,15 +46,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _kernels
-from .constants import (
-    DEFAULT_PRIME_LIMIT,
-    DEFAULT_SERIES_LIMIT,
-    CfSpec,
-    bk_product,
-    cf_series,
-    felix_cm,
-    titchmarsh_factor,
-)
+from .constants import CfSpec, bk_product, cf_series, felix_cm, titchmarsh_factor
 from .functions import (
     MOEBIUS,
     FunctionKind,
@@ -150,12 +142,12 @@ class SumRecord:
 
 
 @lru_cache(maxsize=None)
-def _main_constant(tag, k, a, prime_limit, series_limit):
+def _main_constant(tag, k, a):
     if tag == "d":
         return titchmarsh_factor(a).value
     if tag in {"dk", "unitary"}:
-        return bk_product(k if tag == "dk" else 2, a, prime_limit).value
-    return cf_series(CfSpec.pillai_rule(), a, series_limit).value
+        return bk_product(k if tag == "dk" else 2, a).value
+    return cf_series(CfSpec.pillai_rule(), a).value
 
 
 def _check_shift(a):
@@ -292,10 +284,10 @@ def _factor_part(kind, base, lo, hi, n):
     if n.size == 0:
         return 0
     if kind.tag == "pillai":
-        num, den = pillai_range(lo, hi, base, hi - lo, n - lo)
+        num, den = pillai_range(lo, hi, base, n - lo)
         parts = _kernels.ACTIVE.fixed_parts(num, den, slice(None))
         return sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
-    return int(value_range(kind, lo, hi, base, hi - lo, n - lo).sum())
+    return int(value_range(kind, lo, hi, base, n - lo).sum())
 
 
 def _checkpoint_records(a, kind, checkpoints, partials, const):
@@ -321,15 +313,7 @@ def _checkpoint_records(a, kind, checkpoints, partials, const):
 
 
 def shifted_prime_sum(
-    kind,
-    a,
-    x,
-    checkpoints=None,
-    *,
-    segment_width=DEFAULT_SEGMENT_WIDTH,
-    workers=None,
-    prime_limit=DEFAULT_PRIME_LIMIT,
-    series_limit=DEFAULT_SERIES_LIMIT,
+    kind, a, x, checkpoints=None, *, segment_width=DEFAULT_SEGMENT_WIDTH, workers=None
 ):
     """sum_{p <= x, p > a} g(p - a) at each checkpoint.
 
@@ -360,7 +344,7 @@ def shifted_prime_sum(
     if any(b <= a_ for a_, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
     workers = _resolve_workers(workers)
-    const = _main_constant(kind.tag, kind.k, a, int(prime_limit), int(series_limit))
+    const = _main_constant(kind.tag, kind.k, a)
     base = _base_primes(x, a)
     cuts = [c + 1 for c in checkpoints]
     weights = None if kind.tag == "pillai" else _divisor_weights(kind, x - a)

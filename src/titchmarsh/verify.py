@@ -222,10 +222,7 @@ def partition_exactness(x=10**6, workers=CANONICAL_WORKERS, width=CANONICAL_WIDT
 
 
 @lru_cache(maxsize=None)
-def _tracking_run(tag, k, workers, width):
-    from .functions import FunctionKind
-
-    kind = FunctionKind(tag, k)
+def _tracking_run(kind, workers, width):
     return tuple(
         shifted_prime_sum(
             kind,
@@ -252,7 +249,7 @@ def tracking_improves(budget=900.0):
     t0 = time.perf_counter()
     details = []
     for kind in TRACKING_KINDS:
-        recs = _tracking_run(kind.tag, kind.k, CANONICAL_WORKERS, CANONICAL_WIDTH)
+        recs = _tracking_run(kind, CANONICAL_WORKERS, CANONICAL_WIDTH)
         devs = _deviations(recs)
         if not devs[-1] < devs[0]:
             return False, (
@@ -299,10 +296,7 @@ def determinism():
     segment widths {2^16, 2^20}."""
     base_cfg = (CANONICAL_WORKERS, CANONICAL_WIDTH)
     ref_dec = _decompose_run(*base_cfg)
-    ref_track = {
-        kind.label: _tracking_run(kind.tag, kind.k, *base_cfg)
-        for kind in TRACKING_KINDS
-    }
+    ref_track = {kind: _tracking_run(kind, *base_cfg) for kind in TRACKING_KINDS}
     ref_felix = {m: _felix_run(m, *base_cfg) for m in FELIX_MODULI}
     for workers, width in _DETERMINISM_CONFIGS:
         if (workers, width) == base_cfg:
@@ -310,7 +304,7 @@ def determinism():
         if _decompose_run(workers, width) != ref_dec:
             return False, f"decomposition differs at workers={workers}, width={width}"
         for kind in TRACKING_KINDS:
-            if _tracking_run(kind.tag, kind.k, workers, width) != ref_track[kind.label]:
+            if _tracking_run(kind, workers, width) != ref_track[kind]:
                 return False, (
                     f"{kind.label} records differ at workers={workers}, width={width}"
                 )

@@ -236,6 +236,39 @@ def test_negative_segment_width_is_a_domain_error():
         assert "segment width" in json.loads(out)["error"]
 
 
+def test_segment_width_above_the_cap_is_a_domain_error():
+    # one window of width 10**10 would need a 9.3 GiB bitmap
+    huge = ["--segment-width", "10000000000", "--format", "json"]
+    argvs = [a + huge for a in _WIDTH_CASES]
+    argvs.append(["felix", "--m", "3", "--x", "10000000000"] + huge)
+    argvs.append(["sum", "--fn", "d", "--x", "10000000000"] + huge)
+    for code, out in _run_bounded(argvs):
+        assert code == 2
+        assert "segment width" in json.loads(out)["error"]
+
+
+def test_large_k_is_a_domain_error():
+    # at the default cuts (10**7)**49 in the tail envelope overflows a double
+    argvs = [
+        ["constants", "--k", "50", "--format", "json"],
+        ["sum", "--fn", "dk", "--k", "50", "--x", "1000", "--format", "json"],
+    ]
+    for code, out in _run_bounded(argvs, timeout=30):
+        assert code == 2
+        assert "k = 50" in json.loads(out)["error"]
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN))
+def test_output_matches_golden_text(capsys, argv):
+    # full texts recorded before the rows were built from to_dict()
+    code, out = _run(capsys, argv.split())
+    assert code == 0
+    assert out == _GOLDEN[argv]
+
+
 def test_shift_beyond_max_range_is_rejected_at_once():
     huge = "1000000000000000003"
     argvs = [

@@ -167,6 +167,22 @@ def test_bk_validation():
         bk_product(2, 1, 50)
 
 
+def test_k_is_bounded_by_the_cut():
+    # (k - 1) * cut**(k - 1) must be a finite double: k <= 44 at 10**7
+    # primes and k <= 48 at the series cut 256 * 10**4
+    assert bk_product(44, 1).tail_bound > 0
+    assert cf_series(CfSpec.mu_k_rule(48), 1).tail_bound > 0
+    for call in (
+        lambda: bk_product(45, 1),
+        lambda: bk_product(40, 1, MAX_PRODUCT_LIMIT),
+        lambda: cf_series(CfSpec.mu_k_rule(49), 1),
+        lambda: cf_series(CfSpec.mu_k_rule(38), 1, MAX_SERIES_LIMIT),
+        lambda: bk_product(10**18, 1),
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            call()
+
+
 def test_prime_limit_is_bounded():
     for fn in (lambda p: bk_product(2, 1, p), zeta_product_identity_gap):
         with pytest.raises(ValueError, match="prime_limit"):

@@ -152,11 +152,15 @@ def test_primality_rejects_lo_below_2():
 
 
 def test_width_cap_enforced():
-    base = primes_up_to(100)
-    with pytest.raises(ValueError):
-        primality_range(Segment(2, 2 + 64), base, max_width=32)
-    with pytest.raises(ValueError):
-        factorize_range(Segment(1, 1 + 64), base, max_width=32)
+    # the cap is DEFAULT_SEGMENT_WIDTH; base reaches isqrt of every hi here
+    base = primes_up_to(2000)
+    over = DEFAULT_SEGMENT_WIDTH + 1
+    with pytest.raises(ValueError, match="exceeds cap"):
+        primality_range(Segment(2, 2 + over), base)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        factorize_range(Segment(1, 1 + over), base)
+    with pytest.raises(ValueError, match="segment width"):
+        iter_segments(1, 10, over)
 
 
 def test_factorize_range_basics():

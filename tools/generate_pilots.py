@@ -22,9 +22,7 @@ def main():
     t0 = time.perf_counter()
     tracking = {}
     for kind in verify.TRACKING_KINDS:
-        recs = verify._tracking_run(kind.tag, kind.k,
-                                    verify.CANONICAL_WORKERS,
-                                    verify.CANONICAL_WIDTH)
+        recs = verify._tracking_run(kind, verify.CANONICAL_WORKERS, verify.CANONICAL_WIDTH)
         devs = verify._deviations(recs)
         tracking[kind.label] = [d.hex() for d in devs]
         print(f"tracking {kind.label}: " +
