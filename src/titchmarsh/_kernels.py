@@ -204,8 +204,8 @@ def _pillai(lo, hi, primes, at=None):
 
 
 def _fixed_parts(num, den, idx):
-    # Exact partial sums of floor(num/den * 2**64) over the selected
-    # positions (idx is an index array or a slice), decomposed so every
+    # The exact sum of floor(num/den * 2**64) over the selected positions
+    # (idx is an index array or a slice), summed in four parts so every
     # intermediate fits in int64: num < 2**40 * d(n) keeps num//den plus
     # three chained remainder shifts (23 + 23 + 18 = 64 bits) in range.
     # Weights of the four parts: 2**64, 2**41, 2**18, 2**0.
@@ -221,7 +221,7 @@ def _fixed_parts(num, den, idx):
     r = t % d
     t = r << 18
     q3 = t // d
-    return (int(q0.sum()), int(q1.sum()), int(q2.sum()), int(q3.sum()))
+    return (int(q0.sum()) << 64) + (int(q1.sum()) << 41) + (int(q2.sum()) << 18) + int(q3.sum())
 
 
 ACTIVE = SimpleNamespace(

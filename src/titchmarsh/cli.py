@@ -175,32 +175,15 @@ def _run_felix(ns):
     return (*_dict_rows([d]), d)
 
 
-_DECOMP_HEADER = ("row", "m", "mu", "t_m", "k", "a", "x", "B", "threshold", "s1", "s2", "total")
-
-
 def _run_decompose(ns):
-    rep = decompose_s1_s2(
-        ns.k, ns.a, ns.x, ns.B, segment_width=ns.segment_width, workers=ns.workers
-    )
-    rows = [
-        (
-            "summary",
-            None,
-            None,
-            None,
-            rep.k,
-            rep.a,
-            rep.x,
-            rep.B,
-            rep.threshold,
-            rep.s1,
-            rep.s2,
-            rep.total,
-        )
-    ]
-    for m, mu, t_m in rep.per_m:
-        rows.append(("term", m, mu, t_m, None, None, None, None, None, None, None, None))
-    return _DECOMP_HEADER, rows, rep.to_dict()
+    rep = decompose_s1_s2(ns.k, ns.a, ns.x, ns.B, segment_width=ns.segment_width,
+                          workers=ns.workers).to_dict()
+    # one summary row, then a term row per S1 modulus (m = 1 is always
+    # one), each blank in the other's columns
+    summary = {k: v for k, v in rep.items() if k != "per_m"}
+    rows = [{"row": "summary", **dict.fromkeys(rep["per_m"][0]), **summary}]
+    rows += [{"row": "term", **t, **dict.fromkeys(summary)} for t in rep["per_m"]]
+    return (*_dict_rows(rows), rep)
 
 
 def _run_verify(ns):

@@ -90,6 +90,15 @@ def _distinct_primes(n):
     return [p for p, _ in factorize_int(abs(int(n)))]
 
 
+def _check_shift(a):
+    a = int(a)
+    if a == 0:
+        raise ValueError("shift a must be nonzero")
+    if abs(a) > MAX_RANGE:
+        raise ValueError(f"shift a must satisfy |a| <= {MAX_RANGE}")
+    return a
+
+
 @lru_cache(maxsize=None)
 def titchmarsh_factor(a):
     """Constant T(a) in sum_{p <= x} d(p - a) ~ T(a) * x.
@@ -97,11 +106,7 @@ def titchmarsh_factor(a):
     a is a nonzero integer with |a| <= 2**40; the product over the
     distinct primes of |a| is finite and exact, so tail_bound is 0.
     """
-    a = int(a)
-    if a == 0:
-        raise ValueError("shift a must be nonzero")
-    if abs(a) > MAX_RANGE:
-        raise ValueError(f"shift a must satisfy |a| <= {MAX_RANGE}")
+    a = _check_shift(a)
     value = zeta_value(2) * zeta_value(3) / zeta_value(6)
     ps = _distinct_primes(a)
     for p in ps:

@@ -114,6 +114,8 @@ def integer_kth_root(n, k):
     """Largest r with r**k <= n (n >= 1, k >= 1); float seed, exact fixup."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if k >= int(n).bit_length():
+        return 1  # 2**k > n
     r = max(1, round(n ** (1.0 / k)))
     while r**k > n:
         r -= 1

@@ -1,12 +1,12 @@
 """Shifted-prime sums, progression partial sums, and the S1/S2 split.
 
 Every driver is one sweep of [2, x] in segments (``_sweep``): a
-primality bitmap on the prime side yields n = p - a, and reducers read
-the segment's contribution off the n-window.  Segment jobs run on a
-thread pool (numpy releases the GIL inside its array operations) and
-are reduced strictly in segment order, which together with exact
-integer accumulation makes every sum bit-identical across segment
-widths and worker counts.
+primality bitmap on the prime side yields n = p - a, each sum's part
+reads the segment's columns off the n-window, and the sweep sums the
+columns up to each cut.  Segment jobs run on a thread pool (numpy
+releases the GIL inside its array operations) and are reduced strictly
+in segment order, which together with exact integer accumulation makes
+every sum bit-identical across segment widths and worker counts.
 
 Divisor-type sums are counted, not factored.  With d(r) = 2 #{e | r :
 e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
@@ -40,13 +40,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
 from . import _kernels
-from .constants import CfSpec, bk_product, cf_series, felix_cm, titchmarsh_factor
+from .constants import CfSpec, _check_shift, bk_product, cf_series, felix_cm, titchmarsh_factor
 from .functions import (
     MOEBIUS,
     FunctionKind,
@@ -60,19 +60,20 @@ from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, iter_segments, primes_up_to
 
 _SUM_KINDS = {"d", "dk", "unitary", "pillai"}
 
-_FIXED_WEIGHTS = (1 << 64, 1 << 41, 1 << 18, 1)
+_MAX_WORKERS = 256  # a pool may start a thread per worker, each holding a window
 
 
 def _resolve_workers(workers):
-    if workers is not None:
+    if workers is None:
+        env = os.environ.get("TITCHMARSH_WORKERS", "").strip()
+        w = max(1, int(env)) if env else min(os.cpu_count() or 1, _MAX_WORKERS)
+    else:
         w = int(workers)
         if w < 1:
             raise ValueError("workers must be >= 1")
-        return w
-    env = os.environ.get("TITCHMARSH_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if w > _MAX_WORKERS:
+        raise ValueError(f"workers must be <= {_MAX_WORKERS}")
+    return w
 
 
 def _run_ordered(jobs, fn, workers):
@@ -82,11 +83,6 @@ def _run_ordered(jobs, fn, workers):
         return [fn(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, jobs))
-
-
-def _base_primes(x, a):
-    top = max(int(x), int(x) - int(a), 4)
-    return primes_up_to(max(2, isqrt(top)))
 
 
 def default_checkpoints(x):
@@ -150,15 +146,6 @@ def _main_constant(tag, k, a):
     return cf_series(CfSpec.pillai_rule(), a).value
 
 
-def _check_shift(a):
-    a = int(a)
-    if a == 0:
-        raise ValueError("shift a must be nonzero")
-    if abs(a) > MAX_RANGE:
-        raise ValueError(f"shift a must satisfy |a| <= {MAX_RANGE}")
-    return a
-
-
 def _eligible_primes(seg, base, a):
     flags = _kernels.ACTIVE.primality(seg.lo, seg.hi, base.primes)
     p = np.nonzero(flags)[0].astype(np.int64) + seg.lo
@@ -168,18 +155,31 @@ def _eligible_primes(seg, base, a):
     return p, 0
 
 
-def _sweep(a, x, base, part, segment_width, workers, cuts=()):
-    """(seg.hi, part(lo, hi, n), skipped primes) for each segment of
-    [2, x], in segment order: n = p - a over the segment's eligible
-    primes, ascending, in the n-window [lo, hi) = [max(1, seg.lo - a),
-    seg.hi - a).  Every sum is a reducer ``part`` on this one pass."""
-    segs = iter_segments(2, x + 1, segment_width, cuts=cuts)
+def _sweep(a, x, part, segment_width, workers, cuts=()):
+    """{c: (skipped primes, column sums)} over the primes p <= c, for each
+    c in cuts and for x, from one pass over [2, x] in segments.
+
+    ``part(base, lo, hi, n)`` returns one segment's columns, a list of
+    exact ints: n = p - a over the segment's eligible primes, ascending,
+    in the n-window [lo, hi) = [max(1, seg.lo - a), seg.hi - a), and base
+    the primes up to the square root of the largest n or p.  Columns are
+    summed in segment order."""
+    workers = _resolve_workers(workers)
+    base = primes_up_to(max(2, isqrt(max(x, x - a, 4))))
+    ends = {c + 1 for c in cuts} | {x + 1}
+    segs = iter_segments(2, x + 1, segment_width, cuts=ends)
 
     def job(seg):
         p, nskip = _eligible_primes(seg, base, a)
-        return seg.hi, part(max(1, seg.lo - a), seg.hi - a, p - a), nskip
+        return seg.hi, nskip, part(base, max(1, seg.lo - a), seg.hi - a, p - a)
 
-    return _run_ordered(segs, job, workers)
+    rows, skipped, acc = {}, 0, None
+    for hi, nskip, cols in _run_ordered(segs, job, workers):
+        skipped += nskip
+        acc = cols if acc is None else [s + c for s, c in zip(acc, cols)]
+        if hi in ends:
+            rows[hi - 1] = (skipped, acc)
+    return rows
 
 
 def _isqrt_array(v):
@@ -253,10 +253,6 @@ def _divisor_weights(kind, nmax):
     return j**k, mu[j]
 
 
-def _count_part(qs, cs, lo, hi, n):
-    return int(cs @ _divisor_counts(qs, lo, hi, n))
-
-
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk.  The factor
 # route strikes only the eligible n, so it costs nearly the same in every
@@ -270,12 +266,18 @@ def _count_part(qs, cs, lo, hi, n):
 _COUNT_REACH = 25
 
 
-def _value_part(kind, base, weights, lo, hi, n):
-    # sum of g(n): counted for d, dk and unitary in windows wide enough
-    # for their pairs, factored otherwise
-    if weights is not None and _pairs(weights[0], hi)[1].sum() * _COUNT_REACH <= hi - lo:
-        return _count_part(*weights, lo, hi, n)
-    return _factor_part(kind, base, lo, hi, n)
+def _value_part(kind, nmax):
+    """The sweep part of a sum of g = kind over n <= nmax: one column,
+    counted for d, dk and unitary in windows wide enough for their
+    pairs, factored otherwise."""
+    qs, cs = (None, None) if kind.tag == "pillai" else _divisor_weights(kind, nmax)
+
+    def part(base, lo, hi, n):
+        if qs is not None and _pairs(qs, hi)[1].sum() * _COUNT_REACH <= hi - lo:
+            return [int(cs @ _divisor_counts(qs, lo, hi, n))]
+        return [_factor_part(kind, base, lo, hi, n)]
+
+    return part
 
 
 def _factor_part(kind, base, lo, hi, n):
@@ -285,31 +287,8 @@ def _factor_part(kind, base, lo, hi, n):
         return 0
     if kind.tag == "pillai":
         num, den = pillai_range(lo, hi, base, n - lo)
-        parts = _kernels.ACTIVE.fixed_parts(num, den, slice(None))
-        return sum(int(q) * w for q, w in zip(parts, _FIXED_WEIGHTS))
+        return _kernels.ACTIVE.fixed_parts(num, den, slice(None))
     return int(value_range(kind, lo, hi, base, n - lo).sum())
-
-
-def _checkpoint_records(a, kind, checkpoints, partials, const):
-    # partials: list of (seg_hi, int payload, skipped) in segment order;
-    # pillai payloads are scaled by 2**64 and unscaled at each checkpoint
-    records = []
-    ci = 0
-    acc = 0
-    skipped = 0
-    for hi, payload, nskip in partials:
-        acc += payload
-        skipped += nskip
-        while ci < len(checkpoints) and checkpoints[ci] + 1 == hi:
-            cp = checkpoints[ci]
-            total = acc / (1 << 64) if kind.tag == "pillai" else acc
-            main = const * cp
-            norm = (float(total) - main) / (cp / math.log(cp))
-            records.append(SumRecord(cp, a, kind, total, main, norm, skipped))
-            ci += 1
-    if ci != len(checkpoints):
-        raise AssertionError("checkpoint boundary not hit; segment cuts are wrong")
-    return records
 
 
 def shifted_prime_sum(
@@ -343,14 +322,17 @@ def shifted_prime_sum(
         raise ValueError("checkpoints must lie in [3, x]")
     if any(b <= a_ for a_, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    workers = _resolve_workers(workers)
     const = _main_constant(kind.tag, kind.k, a)
-    base = _base_primes(x, a)
-    cuts = [c + 1 for c in checkpoints]
-    weights = None if kind.tag == "pillai" else _divisor_weights(kind, x - a)
-    part = partial(_value_part, kind, base, weights)
-    partials = _sweep(a, x, base, part, segment_width, workers, cuts)
-    return _checkpoint_records(a, kind, checkpoints, partials, const)
+    rows = _sweep(a, x, _value_part(kind, x - a), segment_width, workers, checkpoints)
+    records = []
+    for cp in checkpoints:
+        skipped, [total] = rows[cp]
+        if kind.tag == "pillai":
+            total /= 1 << 64  # unscale the Pillai fixed point
+        main = const * cp
+        norm = (float(total) - main) / (cp / math.log(cp))
+        records.append(SumRecord(cp, a, kind, total, main, norm, skipped))
+    return records
 
 
 @dataclass(frozen=True)
@@ -378,11 +360,14 @@ class FelixRecord:
         return cls(int(d["m"]), int(d["a"]), int(d["x"]), int(d["t_sum"]), float(d["predicted"]))
 
 
-def _progression_sum(m, a, x, base, segment_width, workers):
+def _progression_sum(m, a, x, segment_width, workers):
     # T_m(x), exact for every m >= 1
-    one = np.ones(1, dtype=np.int64)
-    partials = _sweep(a, x, base, partial(_count_part, m * one, one), segment_width, workers)
-    return sum(t for _, t, _ in partials)
+    qs = np.full(1, m, dtype=np.int64)
+
+    def part(base, lo, hi, n):
+        return _divisor_counts(qs, lo, hi, n).tolist()
+
+    return _sweep(a, x, part, segment_width, workers)[x][1][0]
 
 
 def felix_partial_sum(
@@ -407,11 +392,8 @@ def felix_partial_sum(
         raise ValueError(f"need gcd(a, m) = 1, got gcd({a}, {m}) = {gcd(a, m)}")
     if not 3 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [3, {MAX_RANGE}]")
-    workers = _resolve_workers(workers)
     predicted = felix_cm(m, a).value * x / m
-    base = _base_primes(x, a)
-    t = _progression_sum(m, a, x, base, segment_width, workers)
-    return FelixRecord(m, a, x, t, predicted)
+    return FelixRecord(m, a, x, _progression_sum(m, a, x, segment_width, workers), predicted)
 
 
 @dataclass(frozen=True)
@@ -478,23 +460,20 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
         raise ValueError(f"x must be in [100, {MAX_RANGE}]")
     if not 1.0 <= B <= 10.0:
         raise ValueError("B must lie in [1, 10]")
-    workers = _resolve_workers(workers)
     thr = math.log(x) ** B
-    base = _base_primes(x, a)
     kind = k_free_divisor(k)
     # every m with mu(j) != 0 is summed, gcd(a, m) > 1 included: when a < 0
     # a prime p | a can still have m | p - a (p = 2, a = -2, m = 4)
     qs, cs = _divisor_weights(kind, x - a)
     ns1 = int(np.searchsorted(qs, int(thr), side="right"))
 
-    def part(lo, hi, n):
+    def part(base, lo, hi, n):
         # the total stays on the kfree kernel, so that s1 + s2 = total
         # checks the count against an independent route
         t = _divisor_counts(qs, lo, hi, n)
         return [_factor_part(kind, base, lo, hi, n), *t[:ns1].tolist(), int(cs[ns1:] @ t[ns1:])]
 
-    partials = _sweep(a, x, base, part, segment_width, workers)
-    total, *t_m, s2 = (sum(col) for col in zip(*(r for _, r, _ in partials)))
+    _, [total, *t_m, s2] = _sweep(a, x, part, segment_width, workers)[x]
     per_m = tuple(zip(qs[:ns1].tolist(), cs[:ns1].tolist(), t_m))
     s1 = sum(mu * t for _, mu, t in per_m)
     return DecompositionReport(k, a, x, B, thr, s1, s2, total, per_m)

@@ -50,6 +50,7 @@ TRACKING_KINDS = (DIVISOR, k_free_divisor(2), PILLAI)
 FELIX_MODULI = (2, 3, 5)
 FELIX_X = 10**7
 
+# (workers, width); the last is the reference the others must match
 _DETERMINISM_CONFIGS = ((1, 1 << 16), (1, 1 << 20), (4, 1 << 16), (4, 1 << 20))
 
 
@@ -200,18 +201,20 @@ def hand_anchors():
     return True, "d/2^omega/dk3 sums at x=20 and felix T_2(20) all match hand sums"
 
 
+# Runs are cached on all their arguments, always passed positionally,
+# so a later check reuses what an earlier one computed.
 @lru_cache(maxsize=None)
-def _decompose_run(workers, width, x=10**6):
+def _decompose_run(workers, width, x):
     return decompose_s1_s2(2, 1, x, 2.0, segment_width=width, workers=workers)
 
 
-def partition_exactness(x=10**6, workers=CANONICAL_WORKERS, width=CANONICAL_WIDTH):
+def partition_exactness(x=10**6):
     """s1 + s2 == total, and total equals the plain dk2 sweep."""
-    rep = _decompose_run(workers, width, x)
+    rep = _decompose_run(CANONICAL_WORKERS, CANONICAL_WIDTH, x)
     if rep.s1 + rep.s2 != rep.total:
         return False, f"s1 + s2 = {rep.s1 + rep.s2} != total = {rep.total}"
     ref = shifted_prime_sum(
-        k_free_divisor(2), 1, x, [x], segment_width=width, workers=workers
+        k_free_divisor(2), 1, x, [x], segment_width=CANONICAL_WIDTH, workers=CANONICAL_WORKERS
     )[0].sum
     if rep.total != ref:
         return False, f"decompose total {rep.total} != dk2 sweep {ref}"
@@ -222,15 +225,10 @@ def partition_exactness(x=10**6, workers=CANONICAL_WORKERS, width=CANONICAL_WIDT
 
 
 @lru_cache(maxsize=None)
-def _tracking_run(kind, workers, width):
+def _tracking_run(kind, workers, width, checkpoints):
     return tuple(
         shifted_prime_sum(
-            kind,
-            1,
-            TRACKING_CHECKPOINTS[-1],
-            list(TRACKING_CHECKPOINTS),
-            segment_width=width,
-            workers=workers,
+            kind, 1, checkpoints[-1], list(checkpoints), segment_width=width, workers=workers
         )
     )
 
@@ -249,7 +247,7 @@ def tracking_improves(budget=900.0):
     t0 = time.perf_counter()
     details = []
     for kind in TRACKING_KINDS:
-        recs = _tracking_run(kind, CANONICAL_WORKERS, CANONICAL_WIDTH)
+        recs = _tracking_run(kind, CANONICAL_WORKERS, CANONICAL_WIDTH, TRACKING_CHECKPOINTS)
         devs = _deviations(recs)
         if not devs[-1] < devs[0]:
             return False, (
@@ -268,8 +266,8 @@ def tracking_improves(budget=900.0):
 
 
 @lru_cache(maxsize=None)
-def _felix_run(m, workers, width):
-    return felix_partial_sum(m, 1, FELIX_X, segment_width=width, workers=workers)
+def _felix_run(m, workers, width, x):
+    return felix_partial_sum(m, 1, x, segment_width=width, workers=workers)
 
 
 def felix_tracking():
@@ -280,7 +278,7 @@ def felix_tracking():
         return False, "pilot fixtures missing (data/pilots.json)"
     details = []
     for m in FELIX_MODULI:
-        rec = _felix_run(m, CANONICAL_WORKERS, CANONICAL_WIDTH)
+        rec = _felix_run(m, CANONICAL_WORKERS, CANONICAL_WIDTH, FELIX_X)
         ratio = rec.t_sum / rec.predicted
         if abs(ratio - 1.0) > 0.1:
             return False, f"m={m}: ratio {ratio:.4f} outside 1 +/- 0.1"
@@ -291,51 +289,34 @@ def felix_tracking():
     return True, "; ".join(details)
 
 
-def determinism():
-    """Criteria 7-9 outputs identical across worker counts {1, 4} and
-    segment widths {2^16, 2^20}."""
-    base_cfg = (CANONICAL_WORKERS, CANONICAL_WIDTH)
-    ref_dec = _decompose_run(*base_cfg)
-    ref_track = {kind: _tracking_run(kind, *base_cfg) for kind in TRACKING_KINDS}
-    ref_felix = {m: _felix_run(m, *base_cfg) for m in FELIX_MODULI}
-    for workers, width in _DETERMINISM_CONFIGS:
-        if (workers, width) == base_cfg:
-            continue
-        if _decompose_run(workers, width) != ref_dec:
-            return False, f"decomposition differs at workers={workers}, width={width}"
+def determinism(configs=_DETERMINISM_CONFIGS, checkpoints=TRACKING_CHECKPOINTS,
+                felix_x=FELIX_X, decompose_x=10**6):
+    """Criteria 7-9 outputs identical across the (workers, width)
+    configurations: the decomposition at decompose_x, the tracking
+    records at the checkpoints and the felix records at felix_x."""
+
+    def outputs(workers, width):
+        out = {"decomposition": _decompose_run(workers, width, decompose_x)}
         for kind in TRACKING_KINDS:
-            if _tracking_run(kind, workers, width) != ref_track[kind]:
-                return False, (
-                    f"{kind.label} records differ at workers={workers}, width={width}"
-                )
+            out[f"{kind.label} records"] = _tracking_run(kind, workers, width, checkpoints)
         for m in FELIX_MODULI:
-            if _felix_run(m, workers, width) != ref_felix[m]:
-                return False, f"felix m={m} differs at workers={workers}, width={width}"
+            out[f"felix m={m}"] = _felix_run(m, workers, width, felix_x)
+        return out
+
+    ref = outputs(*configs[-1])
+    for workers, width in configs[:-1]:
+        got = outputs(workers, width)
+        for name, want in ref.items():
+            if got[name] != want:
+                return False, f"{name} not identical at workers={workers}, width={width}"
     return True, (
         "decomposition, tracking records, and felix records identical across "
-        "workers {1,4} x widths {2^16,2^20}"
+        f"(workers, width) in {list(configs)}"
     )
 
 
 # ---------------------------------------------------------------------------
 # fast-level reductions
-
-
-def _determinism_fast():
-    ref = None
-    for workers, width in ((1, 1 << 14), (2, 1 << 16)):
-        recs = shifted_prime_sum(
-            DIVISOR, 1, 10**5, [10**5], segment_width=width, workers=workers
-        )
-        pil = shifted_prime_sum(
-            PILLAI, 1, 10**4, [10**4], segment_width=width, workers=workers
-        )
-        cur = (recs[0].sum, pil[0].sum)
-        if ref is None:
-            ref = cur
-        elif cur != ref:
-            return False, f"sums differ across configs: {cur} vs {ref}"
-    return True, f"d and Pillai sums identical across two width/worker configs"
 
 
 def _felix_coincides_fast():
@@ -344,12 +325,6 @@ def _felix_coincides_fast():
     s = shifted_prime_sum(DIVISOR, 1, x, [x])[0].sum
     ok = t == s
     return ok, f"felix T_1({x}) = {t}, divisor sweep = {s}"
-
-
-def _partition_fast():
-    rep = decompose_s1_s2(2, 1, 10**5, 2.0)
-    ok = rep.s1 + rep.s2 == rep.total
-    return ok, f"s1 + s2 = {rep.s1 + rep.s2}, total = {rep.total} at x=10^5"
 
 
 _FAST_CHECKS = (
@@ -362,9 +337,12 @@ _FAST_CHECKS = (
     ),
     ("pillai-series", lambda: pillai_series_identity(10**3, 10**6)),
     ("hand-anchors", hand_anchors),
-    ("partition", _partition_fast),
+    ("partition", lambda: partition_exactness(10**5)),
     ("felix-coincides", _felix_coincides_fast),
-    ("determinism", _determinism_fast),
+    (
+        "determinism",
+        lambda: determinism(((1, 1 << 16), (4, 1 << 14)), (10**4, 10**5), 10**5, 10**5),
+    ),
 )
 
 _FULL_CHECKS = (

@@ -321,6 +321,31 @@ def test_decompose_far_shift_stays_bounded():
         assert rep["error"]
 
 
+def test_decompose_any_k_is_answered():
+    # k = 10**12 once built (r + 1)**k in integer_kth_root: a MemoryError
+    argv = ["decompose", "--x", "1000", "--k", "1000000000000", "--format", "json"]
+    [(code, out)] = _run_bounded([argv], timeout=30)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["s1"] + rep["s2"] == rep["total"]
+
+
+def test_workers_above_the_ceiling_are_a_domain_error(capsys, monkeypatch):
+    # refused before the sweep starts a pool, from the flag or the
+    # environment alike
+    over = ["--workers", str(titchmarsh.sums._MAX_WORKERS + 1)]
+    for argv in (["sum", "--fn", "d", "--x", "1000"] + over,
+                 ["felix", "--m", "2", "--x", "1000"] + over,
+                 ["decompose", "--x", "1000"] + over):
+        code, out = _run(capsys, argv + ["--format", "json"])
+        assert code == 2
+        assert "workers" in json.loads(out)["error"]
+    monkeypatch.setenv("TITCHMARSH_WORKERS", over[1])
+    code, out = _run(capsys, ["sum", "--fn", "d", "--x", "1000", "--format", "json"])
+    assert code == 2
+    assert "workers" in json.loads(out)["error"]
+
+
 def test_verify_reports_seconds_per_check(capsys, monkeypatch):
     monkeypatch.setattr(cli.verify_mod, "run",
                         lambda level: (CheckResult("forced", True, "fine", 1.25),))

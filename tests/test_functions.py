@@ -109,6 +109,14 @@ def test_integer_kth_root_near_perfect_powers():
             assert integer_kth_root(n + 1, k) == m
 
 
+def test_integer_kth_root_of_a_large_k_is_one():
+    # 2**k > n from k = n.bit_length() on; (r + 1)**k is never built
+    for n in (1, 2, 3, 999, 2**40):
+        assert integer_kth_root(n, n.bit_length()) == 1
+        assert integer_kth_root(n, 10**12) == 1
+    assert integer_kth_root(2**40, 40) == 2
+
+
 def test_mu_k_table_matches_scalar():
     tab = mu_k_table(500, 2)
     assert tab[0] == 0

@@ -393,9 +393,9 @@ def _check_count(qs, cs, lo, hi, n):
     qs = np.array(qs, dtype=np.int64)
     cs = np.array(cs, dtype=np.int64)
     want = _divisor_oracle(qs.tolist(), lo, hi, n)
-    assert titchmarsh.sums._divisor_counts(qs, lo, hi, n).tolist() == want, (lo, hi)
-    assert titchmarsh.sums._count_part(qs, cs, lo, hi, n) == sum(
-        c * w for c, w in zip(cs.tolist(), want))
+    got = titchmarsh.sums._divisor_counts(qs, lo, hi, n)
+    assert got.tolist() == want, (lo, hi)
+    assert int(cs @ got) == sum(c * w for c, w in zip(cs.tolist(), want))
 
 
 def _signed_powers(js, k):
@@ -447,10 +447,11 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
     # has one pair too many for its width and is factored
     sums = titchmarsh.sums
     width = 1 << 14
-    weights = sums._divisor_weights(kind, 2**24)
+    qs, cs = sums._divisor_weights(kind, 2**24)
+    part = sums._value_part(kind, 2**24)
     base = primes_up_to(2**12)
     routes = []
-    for route in ("_count_part", "_factor_part"):
+    for route in ("_divisor_counts", "_factor_part"):
         fn = getattr(sums, route)
         monkeypatch.setattr(sums, route,
                             lambda *args, fn=fn, route=route: routes.append(route) or fn(*args))
@@ -458,7 +459,7 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
     lo_hi, hi = width, 2**24
     while lo_hi < hi:
         mid = (lo_hi + hi) // 2
-        if sums._pairs(weights[0], mid)[1].sum() * sums._COUNT_REACH > width:
+        if sums._pairs(qs, mid)[1].sum() * sums._COUNT_REACH > width:
             hi = mid
         else:
             lo_hi = mid + 1
@@ -467,11 +468,12 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
         lo = top - width
         n = np.arange(lo, top, 3, dtype=np.int64)
         routes.clear()
-        got = sums._value_part(kind, base, weights, lo, top, n)
+        [got] = part(base, lo, top, n)
         picked.append(routes[0])
         want = int(value_range(kind, lo, top)[n - lo].sum())
-        assert got == want == sums._count_part(*weights, lo, top, n), (kind.label, lo, top)
-    assert picked == ["_count_part", "_factor_part"]
+        counted = int(cs @ sums._divisor_counts(qs, lo, top, n))
+        assert got == want == counted, (kind.label, lo, top)
+    assert picked == ["_divisor_counts", "_factor_part"]
 
 
 def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):

@@ -22,7 +22,9 @@ def main():
     t0 = time.perf_counter()
     tracking = {}
     for kind in verify.TRACKING_KINDS:
-        recs = verify._tracking_run(kind, verify.CANONICAL_WORKERS, verify.CANONICAL_WIDTH)
+        recs = verify._tracking_run(
+            kind, verify.CANONICAL_WORKERS, verify.CANONICAL_WIDTH, verify.TRACKING_CHECKPOINTS
+        )
         devs = verify._deviations(recs)
         tracking[kind.label] = [d.hex() for d in devs]
         print(f"tracking {kind.label}: " +
@@ -30,7 +32,7 @@ def main():
 
     felix = {}
     for m in verify.FELIX_MODULI:
-        rec = verify._felix_run(m, verify.CANONICAL_WORKERS, verify.CANONICAL_WIDTH)
+        rec = verify._felix_run(m, verify.CANONICAL_WORKERS, verify.CANONICAL_WIDTH, verify.FELIX_X)
         ratio = rec.t_sum / rec.predicted
         felix[str(m)] = ratio.hex()
         print(f"felix m={m}: ratio {ratio:.6f}")
