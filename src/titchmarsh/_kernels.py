@@ -14,12 +14,24 @@ the strike and every value kernel take an optional ascending array
 values come back in the order of ``at``, and the sums are factored at
 the eligible n only.  Whole-window tables pass no ``at``.
 
+The sparse strike takes the base primes in four groups, each in a few
+array-wide passes rather than one Python iteration per prime: p = 2
+from the lowest set bit of every residual; the primes below width /
+len(at), about log x of them, one by one by a divisibility test of the
+residuals, which reads fewer integers than their strides through the
+window; the primes up to width / STRIDE_RATIO from strided views of a
+bitmap of ``at``, concatenated into batches; and the rest from
+``progressions``, read through the same bitmap.  Integer folds do not
+depend on the order of the primes; the dense strike keeps them
+ascending.
+
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
 wrapper at run time.  Callers pass ``at`` positionally, so a wrapper
 that forwards ``*args`` forwards it too.
 """
 
+from itertools import chain
 from math import isqrt
 from types import SimpleNamespace
 
@@ -27,16 +39,32 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Primes below STRIDE_LIMIT and below 1/STRIDE_RATIO of the number of
-# integers struck (the window width, or the size of ``at``) update
-# strided views of the window one prime at a time.  Larger primes hit so
-# few of those integers each that per-prime overhead would dominate, so
-# they are struck together in batches of at most BATCH_HITS computed
-# hits, which bounds the memory a batch takes; the cofactors go out in
-# blocks of the same size.
+# The dense strike (no ``at``) updates strided views of the window one
+# prime at a time for the primes below STRIDE_LIMIT and below
+# 1/STRIDE_RATIO of the width; STRIDE_LIMIT governs only that path.
+# Larger primes hit so few integers each that per-prime overhead would
+# dominate, so they are struck together in batches of at most BATCH_HITS
+# computed hits, which bounds the memory a batch takes.  The sparse
+# strike's bitmap views go out in batches of at most BATCH_HITS view
+# entries, a longer view split, so no batch of either strike holds more
+# than BATCH_HITS positions; the cofactors go out in blocks of the same
+# size.
 STRIDE_LIMIT = 1 << 12
 STRIDE_RATIO = 64
 BATCH_HITS = 1 << 16
+
+
+def _runs(ends):
+    """Consecutive runs [i, j) of items whose sizes have the running
+    totals ``ends``, each run at most BATCH_HITS in all; an item larger
+    than that is a run of its own.  Yields (i, j, done), done being the
+    total before item i."""
+    i = 0
+    while i < ends.size:
+        done = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + BATCH_HITS, side="right")))
+        yield i, j, done
+        i = j
 
 
 def progressions(first, step, counts):
@@ -45,22 +73,67 @@ def progressions(first, step, counts):
     idx): the terms idx of the chunk, and which[t], the progression that
     term idx[t] is from."""
     ends = np.cumsum(counts)
-    i = 0
-    while i < ends.size:
-        done = int(ends[i - 1]) if i else 0
-        j = int(np.searchsorted(ends, done + BATCH_HITS, side="right"))
-        if j == i:
+    for i, j, done in _runs(ends):
+        if ends[i] - done > BATCH_HITS:
             # progression i alone is longer than a chunk: split it
             for t0 in range(0, int(counts[i]), BATCH_HITS):
                 t = np.arange(t0, min(t0 + BATCH_HITS, int(counts[i])))
                 yield np.full(t.size, i), first[i] + t * step[i]
-            i += 1
             continue
         c = counts[i:j]
         which = np.repeat(np.arange(i, j), c)
         t = np.arange(which.size) - np.repeat(ends[i:j] - c - done, c)
         yield which, first[which] + t * step[which]
-        i = j
+
+
+def _view_hits(flags, first, step):
+    """The true entries of the strided views flags[first[i]::step[i]],
+    read in batches of concatenated views holding at most BATCH_HITS
+    entries, a view longer than that split into pieces.  Yields (offs,
+    steps): the offsets of the true entries in flags and the step of the
+    view each is from."""
+    counts = (flags.size - first + step - 1) // step
+    # piece k of view i starts at its entry k * BATCH_HITS
+    pieces = -(-counts // BATCH_HITS)
+    which = np.repeat(np.arange(counts.size), pieces)
+    k = np.arange(which.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = step[which]
+    first = first[which] + k * BATCH_HITS * step
+    counts = np.minimum(counts[which] - k * BATCH_HITS, BATCH_HITS)
+    ends = np.cumsum(counts)
+    # entry t of the concatenated pieces, in piece v, is at origin[v] + t * step[v]
+    origin = first - (ends - counts) * step
+    for i, j, done in _runs(ends):
+        views = zip(first[i:j].tolist(), counts[i:j].tolist(), step[i:j].tolist())
+        t = np.flatnonzero(np.concatenate([flags[o : o + n * s : s] for o, n, s in views])) + done
+        v = np.searchsorted(ends, t, side="right")
+        s = step[v]
+        yield origin[v] + t * s, s
+
+
+def _progression_hits(flags, first, step):
+    """The true entries of flags on the progressions first[i] + t * step[i]
+    inside it, read through ``progressions``.  Yields (offs, steps) as
+    ``_view_hits`` does."""
+    for which, offs in progressions(first, step, (flags.size - first + step - 1) // step):
+        keep = np.flatnonzero(flags[offs])
+        yield offs[keep], step[which[keep]]
+
+
+def _divide(residual, idx, p):
+    """Divide the full power of p[t] out of residual[idx[t]] for every t
+    (idx may repeat a position) and return the exponents."""
+    q = residual[idx] // p
+    e = np.ones(p.size, dtype=np.int64)
+    pe = p.copy()
+    hit = np.nonzero(q % p == 0)[0]
+    while hit.size:
+        e[hit] += 1
+        pe[hit] *= p[hit]
+        q[hit] //= p[hit]
+        hit = hit[q[hit] % p[hit] == 0]
+    np.floor_divide.at(residual, idx, pe)
+    return e
 
 
 def strike(lo, hi, primes, at=None):
@@ -69,41 +142,32 @@ def strike(lo, hi, primes, at=None):
 
     Yields (idx, p, e): the positions idx of the multiples of p and the
     exponent e of p at each.  A position is a window offset, or with
-    ``at`` an index into ``at``.  For the strided primes p is an int and
-    idx a slice (an index array with ``at``) of distinct positions;
-    above them, idx, p and e are arrays over a batch of primes and idx
-    may repeat a position.  Last come the cofactors, block by block of
-    at most BATCH_HITS positions: the positions whose residual exceeds
-    1, the residual there, and exponent 1.
+    ``at`` an index into ``at``.  Where p is an int, idx is a slice or an
+    index array of distinct positions; in a batch, idx, p and e are
+    arrays over several primes and idx may repeat a position.  Last come
+    the cofactors, block by block of at most BATCH_HITS positions: the
+    positions whose residual exceeds 1, the residual there, and exponent
+    1.  Without ``at`` the primes come in ascending order.
     """
-    width = hi - lo
+    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
     if at is None:
         residual = np.arange(lo, hi, dtype=np.int64)
+        yield from _strike_dense(lo, hi - lo, primes, residual)
     else:
         at = np.asarray(at, dtype=np.int64)
         residual = at + lo
-        # window offset -> index into at, -1 off at
-        where = np.full(width, -1, dtype=np.int32)
-        where[at] = np.arange(at.size, dtype=np.int32)
-    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
-    split = int(np.searchsorted(primes, min(STRIDE_LIMIT, residual.size // STRIDE_RATIO)))
+        yield from _strike_sparse(lo, hi - lo, primes, at, residual)
+    for c in range(0, residual.size, BATCH_HITS):
+        r = residual[c : c + BATCH_HITS]
+        idx = np.nonzero(r > 1)[0]
+        yield idx + c, r[idx], np.ones(idx.size, dtype=np.int64)
+
+
+def _strike_dense(lo, width, primes, residual):
+    split = int(np.searchsorted(primes, min(STRIDE_LIMIT, width // STRIDE_RATIO)))
     for p in primes[:split].tolist():
         s = -lo % p
         if s >= width:
-            continue
-        if at is not None:
-            idx = where[s::p]
-            idx = idx[idx >= 0]
-            if idx.size:
-                r = residual[idx] // p
-                e = np.ones(idx.size, dtype=np.int64)
-                hit = np.nonzero(r % p == 0)[0]
-                while hit.size:
-                    e[hit] += 1
-                    r[hit] //= p
-                    hit = hit[r[hit] % p == 0]
-                residual[idx] = r
-                yield idx, p, e
             continue
         view = residual[s::p]
         view //= p
@@ -119,35 +183,70 @@ def strike(lo, hi, primes, at=None):
         yield slice(s, None, p), p, e
     big = primes[split:]
     first = -lo % big
-    counts = (width - first + big - 1) // big
-    for which, idx in progressions(first, big, counts):
-        if at is not None:
-            idx = where[idx]
-            keep = idx >= 0
-            which, idx = which[keep], idx[keep]
+    for which, idx in progressions(first, big, (width - first + big - 1) // big):
         p = big[which]
-        q = residual[idx] // p
-        e = np.ones(p.size, dtype=np.int64)
-        pe = p.copy()
-        hit = np.nonzero(q % p == 0)[0]
-        while hit.size:
-            e[hit] += 1
-            pe[hit] *= p[hit]
-            q[hit] //= p[hit]
-            hit = hit[q[hit] % p[hit] == 0]
-        np.floor_divide.at(residual, idx, pe)
-        yield idx, p, e
-    for c in range(0, residual.size, BATCH_HITS):
-        r = residual[c : c + BATCH_HITS]
-        idx = np.nonzero(r > 1)[0]
-        yield idx + c, r[idx], np.ones(idx.size, dtype=np.int64)
+        yield idx, p, _divide(residual, idx, p)
+
+
+def _strike_sparse(lo, width, primes, at, residual):
+    # the four groups of the module docstring, each in a few array passes
+    if not (at.size and primes.size):
+        return
+    top = max(1, int(np.searchsorted(primes, width // STRIDE_RATIO)))
+    mid = max(1, min(top, int(np.searchsorted(primes, -(-width // at.size)))))
+    yield from _strike_residuals(residual, primes[1:mid].tolist())
+    # the primes up to width / STRIDE_RATIO from strided views of the
+    # bitmap of at, the rest from their progressions read through it
+    hit = np.zeros(width, dtype=np.bool_)
+    hit[at] = True
+    # window offset -> index into at, read only at the offsets in at: the
+    # first index of its 2**16 block plus a uint16 rank in the block,
+    # half the memory of an int32 map
+    block = np.searchsorted(at, np.arange(0, width, 1 << 16))
+    rank = np.empty(width, dtype=np.uint16)
+    rank[at] = np.arange(at.size) - block[at >> 16]
+    strided, big = primes[mid:top], primes[top:]
+    hits = chain(_view_hits(hit, -lo % strided, strided), _progression_hits(hit, -lo % big, big))
+    for offs, p in hits:
+        if p.size:
+            idx = block[offs >> 16] + rank[offs]
+            yield idx, p, _divide(residual, idx, p)
+
+
+def _strike_residuals(residual, small):
+    # p = 2 from the lowest set bit of r, at most 2**41, so exact as a
+    # double; then each odd prime in ``small`` by a divisibility test of
+    # the residuals, by a floor division (several times faster than a
+    # modulo by a scalar).  A generator of its own, so that its
+    # temporaries are freed before the bitmap groups run.
+    low = residual & -residual
+    idx = np.flatnonzero(low > 1)
+    if idx.size:
+        e = np.frexp(low[idx].astype(np.float64))[1].astype(np.int64) - 1
+        residual[idx] >>= e
+        yield idx, 2, e
+    for p in small:
+        q = residual // p
+        idx = np.flatnonzero(q * p == residual)
+        if idx.size:
+            r = q[idx]
+            e = np.ones(idx.size, dtype=np.int64)
+            more = np.arange(idx.size)
+            while more.size:
+                q = r[more] // p
+                div = q * p == r[more]
+                more = more[div]
+                r[more] = q[div]
+                e[more] += 1
+            residual[idx] = r
+            yield idx, p, e
 
 
 def _fold(lo, hi, primes, ufunc, *factors, at=None, dtype=np.int64):
     """One ``dtype`` array per local factor: ufunc's identity combined by
     ufunc with factor(p, e) for every prime power p**e exactly dividing
-    each n in the window (with ``at``, each n = lo + at[i]), in ascending
-    order of p with the cofactor last."""
+    each n in the window (with ``at``, each n = lo + at[i]); without
+    ``at`` in ascending order of p with the cofactor last."""
     size = hi - lo if at is None else len(at)
     out = [np.full(size, ufunc.identity, dtype=dtype) for _ in factors]
     for idx, p, e in strike(lo, hi, primes, at):

@@ -256,13 +256,17 @@ def _divisor_weights(kind, nmax):
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk.  The factor
 # route strikes only the eligible n, so it costs nearly the same in every
-# 2**20 window, 25-31 ms from 10**6 to 2**39.  Count over factor time per
-# 2**20 window, against pairs / width (BENCH_8.json): d 0.51 at 0.0096
-# (near 10**8), 0.83 at 0.017 (3*10**8), 1.05 at 0.030 (10**9), 1.73 at
-# 0.095 (10**10); dk2 0.60 at 0.013 (5*10**6), 0.80 at 0.026 (2*10**7),
-# 1.39 at 0.061 (10**8).  The two cross at 0.027-0.038 pairs per integer,
-# so a window is counted when it is at least _COUNT_REACH times as wide
-# as its pairs.
+# 2**20 window, 16-25 ms from 2*10**6 to 10**10.  Count over factor time
+# per 2**20 window, against pairs / width (tools/window_times.py, one
+# thread, BENCH_12.json): d 0.74 at 0.0044 (near 2*10**7), 1.15 at
+# 0.0096 (10**8), 1.63 at 0.017 (3*10**8), 1.93 at 0.030 (10**9), 4.99
+# at 0.095 (10**10); dk2 1.07 at 0.0089 (2*10**6), 1.08 at 0.013
+# (5*10**6), 1.54 at 0.026 (2*10**7), 2.70 at 0.061 (10**8).  The two
+# now cross near 0.008 pairs per integer, which would make the reach
+# about 120; at 100, tracking's dk2 windows above about 3.5*10**6 are
+# factored, its wall time falls but its peak memory rises by 3.5 MB
+# (BENCH_12.json), so the reach stays at 25: a window is counted when it
+# is at least _COUNT_REACH times as wide as its pairs.
 _COUNT_REACH = 25
 
 
@@ -456,6 +460,9 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
     B = float(B)
     if k < 2:
         raise ValueError("need k >= 2")
+    if k >= 1 << 63:
+        # the moduli j**k and the exponent cap k - 1 are int64
+        raise ValueError(f"need k <= 2**63 - 1, got k = {k}")
     if not 100 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [100, {MAX_RANGE}]")
     if not 1.0 <= B <= 10.0:

@@ -330,6 +330,19 @@ def test_decompose_any_k_is_answered():
     assert rep["s1"] + rep["s2"] == rep["total"]
 
 
+def test_decompose_k_from_2_63_is_a_domain_error():
+    # j**k over the int64 moduli overflowed with a traceback from 2**63 on
+    argvs = [["decompose", "--x", "1000", "--k", str(k), "--format", "json"]
+             for k in (2**63, 10**20, 2**63 - 1)]
+    (c1, o1), (c2, o2), (c3, o3) = _run_bounded(argvs, timeout=30)
+    assert c1 == c2 == 2
+    assert "k = 9223372036854775808" in json.loads(o1)["error"]
+    assert "k = 100000000000000000000" in json.loads(o2)["error"]
+    assert c3 == 0
+    rep = json.loads(o3)
+    assert rep["s1"] + rep["s2"] == rep["total"]
+
+
 def test_workers_above_the_ceiling_are_a_domain_error(capsys, monkeypatch):
     # refused before the sweep starts a pool, from the flag or the
     # environment alike

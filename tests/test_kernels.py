@@ -185,6 +185,53 @@ def test_sparse_window_narrower_than_the_stride_limit():
     _check_sparse(lo, hi, np.nonzero(rng.random(hi - lo) < 0.05)[0])
 
 
+@pytest.mark.parametrize("n", [2**39, 2**40, 3 * 2**39])
+def test_sparse_two_adic_exponents_up_to_40(n):
+    # p = 2 is taken from the lowest set bit of each residual
+    lo, hi = n - 64, n + 64
+    _check_sparse(lo, hi, np.arange(0, hi - lo, 2))
+    _check_sparse(lo, hi, [n - lo])
+
+
+def test_sparse_odd_offsets_have_no_two():
+    lo, hi = 10**8, 10**8 + 4096
+    at = np.nonzero(np.random.default_rng(3).random(hi - lo) < 0.3)[0] | 1
+    at = np.unique(at[at < hi - lo])
+    assert not [p for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, at) if isinstance(p, int) and p == 2]
+    _check_sparse(lo, hi, at)
+
+
+@pytest.mark.parametrize("lo", [1, 10**8, 2**39])
+def test_sparse_empty_and_single_offsets(lo):
+    hi = lo + 4096
+    _check_sparse(lo, hi, [])
+    for i in (0, 1, 2047, 4095):
+        _check_sparse(lo, hi, [i])
+
+
+@pytest.mark.parametrize("lo", [10**8, 2**39])
+@pytest.mark.parametrize("width", [1 << 12, 1 << 14])
+@pytest.mark.parametrize("ratio", [1, 2, 3, 17, 64])
+def test_sparse_group_boundaries(lo, width, ratio):
+    # width / len(at) bounds the primes tested one by one over the
+    # residuals and width / STRIDE_RATIO the strided views; these ratios
+    # leave the groups between them empty, holding one prime, or crossed
+    rng = np.random.default_rng(ratio)
+    at = np.sort(rng.choice(width, width // ratio, replace=False))
+    _check_sparse(lo, lo + width, at)
+
+
+def test_sparse_strike_of_a_window_yields_a_few_batches():
+    # the eligible n of a = 1 in a 2**20 window near 10**8: p = 2, the
+    # primes below width / len(at) one by one, then batches
+    plo, phi = 10**8, 10**8 + (1 << 20)
+    base = primes_up_to(isqrt(phi)).primes
+    n = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base)) + plo - 1
+    lo, hi = plo - 1, phi - 1
+    assert n.size > 50_000
+    assert len(list(_kernels.strike(lo, hi, base, n - lo))) <= 32
+
+
 def _prime_flags(lo, hi):
     # the primes of [lo, hi) from the factorization rows: n is prime when
     # its row is n itself

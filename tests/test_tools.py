@@ -1,0 +1,29 @@
+"""The scripts under tools/ run against the package they measure."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from titchmarsh.sieve import primes_up_to
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_window_times_reads_the_windows_it_names(capsys):
+    wt = _load("window_times")
+    assert [wt._int(t) for t in ("123", "3e8", "2^39", "-2^39")] == [123, 3 * 10**8, 2**39, -(2**39)]
+    # n = p - 1 over the primes p in [10**6, 10**6 + 2**12)
+    wt.main(["--json", "--runs", "1", "--width", "2^12", "10^6:1", "2:-2^39"])
+    table = json.loads(capsys.readouterr().out)
+    primes = primes_up_to(10**6 + 2**12).primes
+    assert table["1000000:1"]["eligible n"] == int((primes >= 10**6).sum())
+    assert table["2:-549755813888"]["eligible n"] == int((primes < 2 + 2**12).sum())
+    for rows in table.values():
+        assert all(v >= 0 for v in rows.values())

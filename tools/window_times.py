@@ -1,0 +1,112 @@
+"""Milliseconds per sieve window for each layer of a shifted-prime sum.
+
+Usage:
+  PYTHONPATH=src python3 tools/window_times.py [--runs N] [--width W]
+                                               [--json] [P:A ...]
+
+Each point P:A is one window of the primes, [P, P + W), and its shift a;
+the sums read n = p - a for the primes p > a there, so the n-window is
+[max(1, P - a), P + W - a).  The default points are 10^8:1 (n near
+10^8) and 2:-2^39 (n near 2^39, the first window of a sum with
+a = -2^39).  Numbers may be written 123, 3e8 or 2^39.
+
+Rows, each the median of N runs (default 5) on one thread:
+  eligible n         the number of n = p - a the sums read
+  primality bitmap   ms for the primality kernel over the prime window
+  d / dk2 counted    ms for the hyperbola count (sums._divisor_counts)
+  d / dk2 factored   ms for the factor route at the eligible n
+  Pillai factored    ms for the Pillai terms at the eligible n
+  d / dk2 pairs/int  the count's pairs (q, e) per integer of the window;
+                     the sums count a window when this is at most
+                     1 / sums._COUNT_REACH
+
+--json prints one JSON object {point: {row: value}} instead of the table.
+"""
+
+import argparse
+import json
+import statistics
+import time
+from math import isqrt
+
+import numpy as np
+
+from titchmarsh import _kernels
+from titchmarsh.functions import DIVISOR, PILLAI, k_free_divisor
+from titchmarsh.sieve import primes_up_to
+from titchmarsh.sums import _divisor_counts, _divisor_weights, _factor_part, _pairs
+
+DK2 = k_free_divisor(2)
+
+
+def _int(text):
+    sign, t = (-1, text[1:]) if text.startswith("-") else (1, text)
+    if "^" in t:
+        b, e = t.split("^")
+        return sign * int(b) ** int(e)
+    if "e" in t:
+        m, e = t.split("e")
+        return sign * int(m) * 10 ** int(e)
+    return sign * int(t)
+
+
+def _point(text):
+    p, a = text.split(":")
+    return _int(p), _int(a)
+
+
+def _ms(call, runs):
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        call()
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+
+def window_rows(plo, a, width, runs):
+    """{row: value} for the prime window [plo, plo + width) and shift a."""
+    phi = plo + width
+    lo, hi = max(1, plo - a), phi - a
+    base = primes_up_to(max(2, isqrt(max(phi, hi) - 1)))
+    p = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base.primes)) + plo
+    n = p[p > a] - a
+    (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
+    return {
+        "eligible n": int(n.size),
+        "primality bitmap": _ms(lambda: _kernels.ACTIVE.primality(plo, phi, base.primes), runs),
+        "d counted": _ms(lambda: d_c @ _divisor_counts(d_q, lo, hi, n), runs),
+        "dk2 counted": _ms(lambda: k_c @ _divisor_counts(k_q, lo, hi, n), runs),
+        "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, n), runs),
+        "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, n), runs),
+        "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, n), runs),
+        "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
+        "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("points", nargs="*", type=_point, default=None, metavar="P:A")
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--width", type=_int, default=1 << 20)
+    ap.add_argument("--json", action="store_true")
+    args = ap.parse_args(argv)
+    points = args.points or [(10**8, 1), (2, -(2**39))]
+    table = {f"{p}:{a}": window_rows(p, a, args.width, args.runs) for p, a in points}
+    if args.json:
+        print(json.dumps(table, indent=1))
+        return
+    cols = list(table)
+    print("| | " + " | ".join(cols) + " |")
+    print("|---" * (len(cols) + 1) + "|")
+    for row in next(iter(table.values())):
+        cells = []
+        for c in cols:
+            v = table[c][row]
+            cells.append(f"{v:,}" if isinstance(v, int) else f"{v:.4f}" if "pairs" in row else f"{v:.1f}")
+        print(f"| {row} | " + " | ".join(cells) + " |")
+
+
+if __name__ == "__main__":
+    main()
