@@ -14,16 +14,18 @@ the strike and every value kernel take an optional ascending array
 values come back in the order of ``at``, and the sums are factored at
 the eligible n only.  Whole-window tables pass no ``at``.
 
-The sparse strike takes the base primes in four groups, each in a few
-array-wide passes rather than one Python iteration per prime: p = 2
-from the lowest set bit of every residual; the primes below width /
-len(at), about log x of them, one by one by a divisibility test of the
-residuals, which reads fewer integers than their strides through the
-window; the primes up to width / STRIDE_RATIO from strided views of a
-bitmap of ``at``, concatenated into batches; and the rest from
-``progressions``, read through the same bitmap.  Integer folds do not
-depend on the order of the primes; the dense strike keeps them
-ascending.
+The strike yields two shapes: a slice of the window with an int p (the
+dense strike's strided views), or an index array with an array of
+primes of the same length.  The sparse strike takes the base primes in
+four groups, each in a few array-wide passes rather than one Python
+iteration per prime: p = 2 from the lowest set bit of every residual;
+the primes below max(width / len(at), width / BATCH_HITS), about log x
+of them, one by one by a divisibility test of the residuals, which
+reads fewer integers than their strides through the window; the primes
+up to width / STRIDE_RATIO from strided views of a bitmap of ``at``,
+concatenated into batches; and the rest from ``progressions``, read
+through the same bitmap.  Integer folds do not depend on the order of
+the primes; the dense strike keeps them ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
@@ -39,17 +41,17 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# The dense strike (no ``at``) updates strided views of the window one
-# prime at a time for the primes below STRIDE_LIMIT and below
-# 1/STRIDE_RATIO of the width; STRIDE_LIMIT governs only that path.
+# Both strikes (and the primality kernel and the count) walk the primes
+# below 1/STRIDE_RATIO of the width as strided views of the window.
 # Larger primes hit so few integers each that per-prime overhead would
 # dominate, so they are struck together in batches of at most BATCH_HITS
 # computed hits, which bounds the memory a batch takes.  The sparse
 # strike's bitmap views go out in batches of at most BATCH_HITS view
-# entries, a longer view split, so no batch of either strike holds more
-# than BATCH_HITS positions; the cofactors go out in blocks of the same
-# size.
-STRIDE_LIMIT = 1 << 12
+# entries, and no view is longer, since its primes are at least width /
+# BATCH_HITS; so no batch of either strike holds more than BATCH_HITS
+# positions.  The cofactors go out in blocks of the same size, and the
+# residual passes of the sparse strike's smallest primes read len(at)
+# residuals each.
 STRIDE_RATIO = 64
 BATCH_HITS = 1 << 16
 
@@ -88,24 +90,17 @@ def progressions(first, step, counts):
 
 def _view_hits(flags, first, step):
     """The true entries of the strided views flags[first[i]::step[i]],
-    read in batches of concatenated views holding at most BATCH_HITS
-    entries, a view longer than that split into pieces.  Yields (offs,
-    steps): the offsets of the true entries in flags and the step of the
-    view each is from."""
+    each at most BATCH_HITS long, read in batches of concatenated views
+    holding at most BATCH_HITS entries.  Yields (offs, steps): the
+    offsets of the true entries in flags and the step of the view each
+    is from."""
     counts = (flags.size - first + step - 1) // step
-    # piece k of view i starts at its entry k * BATCH_HITS
-    pieces = -(-counts // BATCH_HITS)
-    which = np.repeat(np.arange(counts.size), pieces)
-    k = np.arange(which.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    step = step[which]
-    first = first[which] + k * BATCH_HITS * step
-    counts = np.minimum(counts[which] - k * BATCH_HITS, BATCH_HITS)
     ends = np.cumsum(counts)
-    # entry t of the concatenated pieces, in piece v, is at origin[v] + t * step[v]
+    # entry t of the concatenated views, in view v, is at origin[v] + t * step[v]
     origin = first - (ends - counts) * step
     for i, j, done in _runs(ends):
-        views = zip(first[i:j].tolist(), counts[i:j].tolist(), step[i:j].tolist())
-        t = np.flatnonzero(np.concatenate([flags[o : o + n * s : s] for o, n, s in views])) + done
+        views = zip(first[i:j].tolist(), step[i:j].tolist())
+        t = np.flatnonzero(np.concatenate([flags[o::s] for o, s in views])) + done
         v = np.searchsorted(ends, t, side="right")
         s = step[v]
         yield origin[v] + t * s, s
@@ -126,7 +121,8 @@ def _divide(residual, idx, p):
     q = residual[idx] // p
     e = np.ones(p.size, dtype=np.int64)
     pe = p.copy()
-    hit = np.nonzero(q % p == 0)[0]
+    hit = np.flatnonzero(q % p == 0)
+    hit = hit[q[hit] > 0]  # a positive q shrinks each pass, so the loop ends
     while hit.size:
         e[hit] += 1
         pe[hit] *= p[hit]
@@ -142,12 +138,12 @@ def strike(lo, hi, primes, at=None):
 
     Yields (idx, p, e): the positions idx of the multiples of p and the
     exponent e of p at each.  A position is a window offset, or with
-    ``at`` an index into ``at``.  Where p is an int, idx is a slice or an
-    index array of distinct positions; in a batch, idx, p and e are
-    arrays over several primes and idx may repeat a position.  Last come
-    the cofactors, block by block of at most BATCH_HITS positions: the
-    positions whose residual exceeds 1, the residual there, and exponent
-    1.  Without ``at`` the primes come in ascending order.
+    ``at`` an index into ``at``.  Where p is an int, idx is a slice;
+    otherwise idx, p and e are arrays of one length, and idx may repeat
+    a position.  Last come the cofactors, block by block of at most
+    BATCH_HITS positions: the positions whose residual exceeds 1, the
+    residual there, and exponent 1.  Without ``at`` the primes come in
+    ascending order.
     """
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
     if at is None:
@@ -164,7 +160,7 @@ def strike(lo, hi, primes, at=None):
 
 
 def _strike_dense(lo, width, primes, residual):
-    split = int(np.searchsorted(primes, min(STRIDE_LIMIT, width // STRIDE_RATIO)))
+    split = int(np.searchsorted(primes, width // STRIDE_RATIO))
     for p in primes[:split].tolist():
         s = -lo % p
         if s >= width:
@@ -193,7 +189,8 @@ def _strike_sparse(lo, width, primes, at, residual):
     if not (at.size and primes.size):
         return
     top = max(1, int(np.searchsorted(primes, width // STRIDE_RATIO)))
-    mid = max(1, min(top, int(np.searchsorted(primes, -(-width // at.size)))))
+    few = max(-(-width // at.size), -(-width // BATCH_HITS))
+    mid = max(1, min(top, int(np.searchsorted(primes, few))))
     yield from _strike_residuals(residual, primes[1:mid].tolist())
     # the primes up to width / STRIDE_RATIO from strided views of the
     # bitmap of at, the rest from their progressions read through it
@@ -217,29 +214,19 @@ def _strike_residuals(residual, small):
     # p = 2 from the lowest set bit of r, at most 2**41, so exact as a
     # double; then each odd prime in ``small`` by a divisibility test of
     # the residuals, by a floor division (several times faster than a
-    # modulo by a scalar).  A generator of its own, so that its
-    # temporaries are freed before the bitmap groups run.
+    # modulo by a scalar), and ``_divide``.  A generator of its own, so
+    # that its temporaries are freed before the bitmap groups run.
     low = residual & -residual
     idx = np.flatnonzero(low > 1)
     if idx.size:
         e = np.frexp(low[idx].astype(np.float64))[1].astype(np.int64) - 1
         residual[idx] >>= e
-        yield idx, 2, e
+        yield idx, np.full(idx.size, 2), e
     for p in small:
-        q = residual // p
-        idx = np.flatnonzero(q * p == residual)
+        idx = np.flatnonzero(residual // p * p == residual)
         if idx.size:
-            r = q[idx]
-            e = np.ones(idx.size, dtype=np.int64)
-            more = np.arange(idx.size)
-            while more.size:
-                q = r[more] // p
-                div = q * p == r[more]
-                more = more[div]
-                r[more] = q[div]
-                e[more] += 1
-            residual[idx] = r
-            yield idx, p, e
+            ps = np.full(idx.size, p)
+            yield idx, ps, _divide(residual, idx, ps)
 
 
 def _fold(lo, hi, primes, ufunc, *factors, at=None, dtype=np.int64):
@@ -251,21 +238,18 @@ def _fold(lo, hi, primes, ufunc, *factors, at=None, dtype=np.int64):
     out = [np.full(size, ufunc.identity, dtype=dtype) for _ in factors]
     for idx, p, e in strike(lo, hi, primes, at):
         for arr, factor in zip(out, factors):
-            if not isinstance(p, int):
-                # a batch may repeat a position
-                ufunc.at(arr, idx, factor(p, e))
-            elif isinstance(idx, slice):
+            if isinstance(idx, slice):
                 view = arr[idx]
                 ufunc(view, factor(p, e), out=view)
             else:
-                arr[idx] = ufunc(arr[idx], factor(p, e))
+                # an index array may repeat a position
+                ufunc.at(arr, idx, factor(p, e))
     return out
 
 
 def _primality(lo, hi, primes):
     # strikes from p*p on, the primes below 1/STRIDE_RATIO of the width as
-    # strided views and the rest in batches, as in ``strike``; a strided
-    # prime costs one slice assignment here, so STRIDE_LIMIT does not cap them
+    # strided views and the rest in batches, as in ``strike``
     width = hi - lo
     flags = np.ones(width, dtype=np.bool_)
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]

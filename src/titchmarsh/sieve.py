@@ -53,11 +53,9 @@ class Segment:
 
 def primes_up_to(n):
     """All primes up to and including n, by the segmented sieve: the
-    primes up to isqrt(n) are struck through each window of
-    ``iter_segments(2, n + 1)`` by the primality kernel.  Below one
-    window, [2, n] is a single kernel call whose base primes, up to
-    isqrt(n) < 2**10, come from a plain byte sieve; above it, they are
-    found that way.
+    primes up to isqrt(n) <= 2**16, from a plain byte sieve, are struck
+    through each window of ``iter_segments(2, n + 1)`` by the primality
+    kernel.
 
     Memory is one window of flags plus the primes returned.
     """
@@ -66,16 +64,13 @@ def primes_up_to(n):
         raise ValueError("no primes below 2")
     if n > MAX_PRIME_LIMIT:
         raise ValueError(f"prime limit {n} exceeds {MAX_PRIME_LIMIT}")
-    if n < DEFAULT_SEGMENT_WIDTH:
-        r = isqrt(n)
-        flags = np.ones(r + 1, dtype=np.bool_)
-        flags[:2] = False
-        for p in range(2, isqrt(r) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        base = np.flatnonzero(flags)
-        return PrimeList(n, np.flatnonzero(_kernels.ACTIVE.primality(2, n + 1, base)) + 2)
-    base = primes_up_to(isqrt(n)).primes
+    r = isqrt(n)
+    flags = np.ones(r + 1, dtype=np.bool_)
+    flags[:2] = False
+    for p in range(2, isqrt(r) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    base = np.flatnonzero(flags)
     found = [
         np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, base)) + seg.lo
         for seg in iter_segments(2, n + 1)

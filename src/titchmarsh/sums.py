@@ -242,13 +242,12 @@ def _divisor_counts(qs, lo, hi, n):
 def _divisor_weights(kind, nmax):
     """Moduli q and weights c with kind(n) = sum of c * d(n / q) over the
     q | n, for n <= nmax: q = 1 for d, and q = j**k with c = mu(j) over
-    the squarefree j for dk (dk = mu_k * d; unitary is dk with k = 2)."""
+    the squarefree j for dk (dk = mu_k * d; unitary is dk with k = 2).
+    q = 1 always comes first, also when nmax < 1 leaves no n."""
     if kind.tag == "d":
         return np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    if nmax < 1:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     k = kind.k if kind.tag == "dk" else 2
-    mu = function_table(MOEBIUS, integer_kth_root(nmax, k))
+    mu = function_table(MOEBIUS, integer_kth_root(max(nmax, 1), k))
     j = np.nonzero(mu)[0]
     return j**k, mu[j]
 

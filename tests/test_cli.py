@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import titchmarsh
 from titchmarsh import cli
@@ -341,6 +343,108 @@ def test_decompose_k_from_2_63_is_a_domain_error():
     assert c3 == 0
     rep = json.loads(o3)
     assert rep["s1"] + rep["s2"] == rep["total"]
+
+
+def test_decompose_with_no_n_answers_zero():
+    # a >= x leaves no n = p - a >= 1; the S1 moduli still start at m = 1
+    argvs = [["decompose", "--x", "100", "--a", a, "--format", fmt]
+             for a in ("100", "1000") for fmt in ("csv", "json", "table")]
+    header = {fmt: _GOLDEN[f"decompose --x 1000 --format {fmt}"].split("\n")[0].split()
+              for fmt in ("csv", "table")}
+    for argv, (code, out) in zip(argvs, _run_bounded(argvs, timeout=30)):
+        assert code == 0, (argv, out)
+        fmt = argv[-1]
+        if fmt == "json":
+            rep = json.loads(out)
+            assert rep["s1"] == rep["s2"] == rep["total"] == 0
+            assert rep["per_m"] == [{"m": 1, "mu": 1, "t_m": 0}]
+            continue
+        lines = out.split("\n")
+        assert lines[0].split() == header[fmt]
+        if fmt == "csv":
+            summary, term = _rows(out)
+            assert summary["s1"] == summary["s2"] == summary["total"] == "0"
+            assert (term["m"], term["t_m"]) == ("1", "0")
+
+
+# Each flag is drawn from typical values or, one time in four, from the
+# edges of its domain: the bounds and one past them, zero, negatives,
+# 2**63 and a long digit string.  Valid sizes stay at most 10**5 and
+# valid widths keep a sweep to at most 10 windows, so every accepted
+# input answers in a moment.  ``verify``, whose one flag is a choice, is
+# left out.
+_BIG = [str(2**63), "9" * 200]
+_EDGE = ["-1", "0", "1", "2", "3", *_BIG]
+_FLAGS = {  # flag: (typical, edges)
+    "--x": (["100", "1000", "100000"], _EDGE + ["99", str(2**40 + 1)]),
+    "--a": (["1", "-2", "2", "100", "1000"],
+            _EDGE + ["100000", str(-(2**40)), str(2**40), str(2**40 + 1), "-" + "9" * 200]),
+    "--k": (["2", "3"], _EDGE + ["49", "50", str(2**63 - 1)]),
+    "--m": (["2", "3", "5"], _EDGE + ["6", str(2**40), str(2**40 + 1)]),
+    "--B": (["1", "2", "10"], ["-1", "0", "0.5", "10.5", "nan", "inf", "1e400"]),
+    "--prime-limit": (["100", "1000", "100000"], _EDGE + ["10", "99", str(10**8 + 1)]),
+    "--series-limit": (["10", "100", "1000"], _EDGE + ["9", str(10**6 + 1)]),
+    "--segment-width": (["64", "4096", str(1 << 20)], _EDGE + [str((1 << 20) + 1)]),
+    "--workers": (["1", "2", "4"], ["-1", "0", "3", "257"]),
+}
+_OPTIONAL = {
+    "constants": ["--k", "--a"],
+    "sum": ["--k", "--a", "--segment-width", "--workers"],
+    "felix": ["--a", "--segment-width", "--workers"],
+    "decompose": ["--k", "--a", "--B", "--segment-width", "--workers"],
+}
+
+
+def _value(draw, flag, keep=lambda v: True):
+    typical, edges = ([v for v in pool if keep(v)] for pool in _FLAGS[flag])
+    return draw(st.sampled_from(edges if draw(st.integers(0, 3)) == 0 or not typical else typical))
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_OPTIONAL)))
+    argv = [cmd]
+    if cmd == "sum":
+        argv += ["--fn", draw(st.sampled_from(["d", "dk", "unitary", "pillai"]))]
+    if cmd == "felix":
+        argv += ["--m", _value(draw, "--m")]
+    for flag in draw(st.lists(st.sampled_from(_OPTIONAL[cmd]), unique=True)):
+        argv += [flag, _value(draw, flag)]
+    if cmd == "constants":
+        # the default cuts are 10**7 primes and 10**4 series terms
+        argv += ["--prime-limit", _value(draw, "--prime-limit")]
+        argv += ["--series-limit", _value(draw, "--series-limit")]
+    else:
+        width = int(argv[argv.index("--segment-width") + 1]) if "--segment-width" in argv else 1 << 20
+        refused = not 0 < width <= 1 << 20
+        argv += ["--x", _value(draw, "--x", lambda x: refused or abs(int(x)) <= 10 * width)]
+        if cmd == "sum" and draw(st.booleans()):
+            cuts = draw(st.lists(st.sampled_from(["3", "100", "1000"] + _EDGE), min_size=1, max_size=3))
+            argv += ["--checkpoints", *cuts]
+    return argv + ["--format", draw(st.sampled_from(["csv", "json", "table"]))]
+
+
+def _error_message(fmt, out):
+    if fmt == "json":
+        return json.loads(out)["error"]
+    if fmt == "csv":
+        [row] = _rows(out)
+        return row["error"]
+    assert out.startswith("error: ") and out.endswith("\n")
+    return out[len("error: "):]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs=st.lists(_argvs(), min_size=2, max_size=8))
+@example(argvs=[["decompose", "--x", "100", "--a", "100", "--format", "table"]])
+def test_generated_argv_is_answered_or_refused(argvs):
+    # every argv answers (exit 0) or is refused with a serialized message
+    # (exit 2), in a child bounded to 1 GiB, with no traceback or hang
+    for argv, (code, out) in zip(argvs, _run_bounded(argvs, timeout=60)):
+        assert code in (0, 2), (argv, code, out)
+        if code == 2:
+            assert _error_message(argv[-1], out).strip(), argv
 
 
 def test_workers_above_the_ceiling_are_a_domain_error(capsys, monkeypatch):

@@ -4,9 +4,13 @@ must multiply back to its n.  A kernel given ``at`` must equal the
 dense kernel read at ``at``, and the primality bitmap must mark exactly
 the primes."""
 
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,10 +71,11 @@ def test_kernels_match_oracle_on_random_windows(lo, width, seed):
 
 @pytest.mark.parametrize("n", [4099**2 * 3, 65537**2])
 def test_batched_primes_with_square_factors(n):
-    # both squares exceed STRIDE_LIMIT, so they come from the batched
-    # strike, where an exponent >= 2 needs the repeated-division path
-    assert _kernels.STRIDE_LIMIT < 4099
+    # in a 600-wide window both primes lie above width / STRIDE_RATIO, so
+    # they come from the batched strike, where an exponent >= 2 needs the
+    # repeated-division path
     lo, hi = n - 300, n + 300
+    assert (hi - lo) // _kernels.STRIDE_RATIO < 4099
     _check_against_oracle(lo, hi, range(hi - lo))
     _check_rows(lo, hi)
     assert factorize_range(Segment(lo, hi), _BASE).factors(n) == factorize_int(n)
@@ -87,18 +92,20 @@ def test_low_windows_match_oracle(lo, hi):
 
 def test_narrow_windows_batch_the_small_primes():
     # in a window narrower than 64 * p even p = 2 is struck in a batch,
-    # so exponents up to 30 (at 2**30) and 19 (3**19) take the batched path
+    # so exponents up to 30 (at 2**30) and 19 (3**19) take the batched
+    # path: every yield is an index array with a prime array of its length
     for n in (2**30, 3**19):
         lo, hi = n - 50, n + 50
         assert hi - lo < 2 * _kernels.STRIDE_RATIO
-        assert [idx for idx, _, _ in _kernels.strike(lo, hi, _BASE.primes) if isinstance(idx, slice)] == []
+        for idx, p, e in _kernels.strike(lo, hi, _BASE.primes):
+            assert not isinstance(idx, slice) and idx.shape == p.shape == e.shape
         _check_against_oracle(lo, hi, range(hi - lo))
         _check_rows(lo, hi)
 
 
 def test_batches_are_capped():
-    # a window near 2**39 has ~5 * 10**5 hits of primes above STRIDE_LIMIT
-    # and ~7 * 10**5 cofactors; both come out in capped blocks
+    # a window near 2**39 has ~3.5 * 10**5 hits of primes above width /
+    # STRIDE_RATIO and ~7 * 10**5 cofactors; both come out in capped blocks
     lo = 2**39
     hi = lo + (1 << 20)
     base = primes_up_to(isqrt(hi - 1)).primes
@@ -106,6 +113,29 @@ def test_batches_are_capped():
              if not isinstance(idx, slice)]
     assert sum(sizes) > 10 * _kernels.BATCH_HITS
     assert max(sizes) <= _kernels.BATCH_HITS
+
+
+# Divides 2, 5 and 9 by 3 in a child, so a loop that spins fails the test
+# by its timeout instead of stalling the suite.
+_DIVIDE_CHILD = """
+import json
+import numpy as np
+from titchmarsh import _kernels
+residual = np.array([2, 5, 9], dtype=np.int64)
+e = _kernels._divide(residual, np.arange(3), np.full(3, 3))
+print(json.dumps([e.tolist(), residual.tolist()]))
+"""
+
+
+def test_divide_returns_where_its_prime_does_not_divide():
+    # 3 does not divide 2 or 5; q = 2 // 3 = 0 once kept q % p == 0 true
+    src = str(Path(_kernels.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _DIVIDE_CHILD], capture_output=True, text=True,
+                          timeout=30, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    e, residual = json.loads(proc.stdout)
+    # the position 3 divides still gets its full power out
+    assert (e[2], residual[2]) == (2, 1)
 
 
 def test_fixed_parts_are_exact():
@@ -159,30 +189,43 @@ def test_sparse_repeated_index_in_one_batch():
     at = np.arange((n - lo) % 5, hi - lo, 5)
     i = int(np.searchsorted(at, n - lo))
     assert at[i] == n - lo
-    batches = [idx for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at)
-               if not isinstance(p, int) and (p == 4099).any()]
+    batches = [idx for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at) if (p == 4099).any()]
     assert len(batches) == 1 and np.count_nonzero(batches[0] == i) == 2
     _check_sparse(lo, hi, at)
 
 
 def test_sparse_more_offsets_than_a_batch():
-    # the cofactors of a sparse strike come out in blocks over at.size
+    # the bitmap batches and the cofactors of a sparse strike come out in
+    # blocks of at most BATCH_HITS positions over at.size; only the
+    # residual passes of the primes below width / BATCH_HITS, one prime
+    # each, read every offset
     lo, hi = 10**8, 10**8 + (1 << 18)
     at = np.arange(0, hi - lo, 2)
     assert at.size > _kernels.BATCH_HITS
-    sizes = [idx.size for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at)
-             if not isinstance(p, int)]
-    assert max(sizes) <= _kernels.BATCH_HITS
+    few = (hi - lo) // _kernels.BATCH_HITS
+    passes, batches, cofactors = [], [], []
+    for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at):
+        assert idx.shape == p.shape
+        if p.max() < few:
+            passes.append(p[0])
+            assert (p == p[0]).all() and idx.size <= at.size
+        else:
+            (cofactors if p.min() > isqrt(hi - 1) else batches).append(idx.size)
+    assert passes == [2, 3]
+    assert sum(cofactors) > _kernels.BATCH_HITS and sum(batches) > _kernels.BATCH_HITS
+    assert max(batches + cofactors) <= _kernels.BATCH_HITS
     _check_sparse(lo, hi, at)
 
 
-def test_sparse_window_narrower_than_the_stride_limit():
-    # width / STRIDE_RATIO < STRIDE_LIMIT: the strided primes stop at
-    # width / 64, and the rest of the primes below 2**12 are batched
+def test_sparse_window_batches_above_the_stride_ratio():
+    # the strided views stop at width / STRIDE_RATIO = 2048: 4093, below
+    # 2**12, is read through its progression, batched with larger primes
     lo, hi = 10**10, 10**10 + (1 << 17)
-    assert (hi - lo) // _kernels.STRIDE_RATIO < _kernels.STRIDE_LIMIT
+    assert (hi - lo) // _kernels.STRIDE_RATIO < 4093
     rng = np.random.default_rng(5)
-    _check_sparse(lo, hi, np.nonzero(rng.random(hi - lo) < 0.05)[0])
+    at = np.nonzero(rng.random(hi - lo) < 0.05)[0]
+    assert any((p == 4093).any() and p.max() > 4093 for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, at))
+    _check_sparse(lo, hi, at)
 
 
 @pytest.mark.parametrize("n", [2**39, 2**40, 3 * 2**39])
@@ -197,7 +240,7 @@ def test_sparse_odd_offsets_have_no_two():
     lo, hi = 10**8, 10**8 + 4096
     at = np.nonzero(np.random.default_rng(3).random(hi - lo) < 0.3)[0] | 1
     at = np.unique(at[at < hi - lo])
-    assert not [p for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, at) if isinstance(p, int) and p == 2]
+    assert not any((p == 2).any() for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, at))
     _check_sparse(lo, hi, at)
 
 

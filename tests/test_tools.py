@@ -27,3 +27,4 @@ def test_window_times_reads_the_windows_it_names(capsys):
     assert table["2:-549755813888"]["eligible n"] == int((primes < 2 + 2**12).sum())
     for rows in table.values():
         assert all(v >= 0 for v in rows.values())
+        assert rows["dense table"] > 0

@@ -16,6 +16,8 @@ Rows, each the median of N runs (default 5) on one thread:
   d / dk2 counted    ms for the hyperbola count (sums._divisor_counts)
   d / dk2 factored   ms for the factor route at the eligible n
   Pillai factored    ms for the Pillai terms at the eligible n
+  dense table        ms for d at every n of the n-window, the whole-window
+                     strike (functions.value_range)
   d / dk2 pairs/int  the count's pairs (q, e) per integer of the window;
                      the sums count a window when this is at most
                      1 / sums._COUNT_REACH
@@ -32,7 +34,7 @@ from math import isqrt
 import numpy as np
 
 from titchmarsh import _kernels
-from titchmarsh.functions import DIVISOR, PILLAI, k_free_divisor
+from titchmarsh.functions import DIVISOR, PILLAI, k_free_divisor, value_range
 from titchmarsh.sieve import primes_up_to
 from titchmarsh.sums import _divisor_counts, _divisor_weights, _factor_part, _pairs
 
@@ -80,6 +82,7 @@ def window_rows(plo, a, width, runs):
         "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, n), runs),
         "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, n), runs),
         "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, n), runs),
+        "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
     }
