@@ -11,12 +11,20 @@ every sum bit-identical across segment widths and worker counts.
 Divisor-type sums are counted, not factored.  With d(r) = 2 #{e | r :
 e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
 by q is a count of the n on the window's bitmap in the progressions
-0 (mod q*e) above q*e*e (``_divisor_counts``).  Counted this way:
+0 (mod q*e) above q*e*e (``_divisor_counts``).  Each modulus q comes
+with a weight and an output column, and the count returns the column
+sums.  The pairs (q, e) with short strides that read the same view of
+the bitmap are merged first, their weights summed, so each distinct
+view is read once and a view whose weights cancel is not read at all
+(for dk2 the weights mu(j) of the pairs at a stride s sum to mu(s)**2
+where they share a start, so the views at a stride that is not
+squarefree cancel).  Counted this way:
 
-- ``felix`` T_m, with q = m;
-- each S1 modulus of ``decompose``, with q = m, and its S2, with
-  q = j**k and weight mu(j) over the large squarefree j;
-- the ``d``, ``dk`` and ``unitary`` sums, with q = 1 for d and
+- ``felix`` T_m: one column, q = m, weight 1;
+- ``decompose``: each S1 modulus q = m in a column of its own, weight
+  1, and S2 in one column shared by q = j**k, weight mu(j), over the
+  large squarefree j;
+- the ``d``, ``dk`` and ``unitary`` sums: one column, q = 1 for d and
   q = j**k, weight mu(j) for dk (dk = mu_k * d; unitary is dk with
   k = 2), in windows at least _COUNT_REACH times as wide as the count
   has pairs (q, e), isqrt(n_max) of them for d.  Narrower windows, and
@@ -204,38 +212,81 @@ def _pairs(qs, hi):
     return qs, _isqrt_array((hi - 1) // qs)
 
 
-def _divisor_counts(qs, lo, hi, n):
-    """out[i] = sum of d(n / qs[i]) over the n divisible by qs[i], for
-    ascending moduli qs, counted on the hit bitmap of the window.
+def _pair_runs(qs, first, last):
+    # the pairs (q, e) = (qs[i], e) with first[i] <= e <= last[i], in
+    # chunks of at most BATCH_HITS: (which, s = q*e, e), which ascending
+    counts = np.maximum(last - first + 1, 0)
+    for which, e in _kernels.progressions(first, np.ones_like(first), counts):
+        yield which, qs[which] * e, e
+
+
+def _start(s, e, lo):
+    # the first n >= lo counted for the pair with stride s: n = 0 (mod s)
+    # and n >= s*e
+    return np.maximum(s * e, -(-lo // s) * s)
+
+
+def _views(qs, cs, cols, ncols, lo, hi):
+    """The strided views the count reads in the window [lo, hi): the pairs
+    (q, e) with stride s = q*e below 1/STRIDE_RATIO of the width, each
+    counting the n = 0 (mod s) from its start t on, merged by (column, s,
+    t) with their weights summed; the keys whose weights cancel are
+    dropped.  Returns (offs, steps), the distinct views hit[offs::steps],
+    and (view, col, w): each surviving key's view, column and weight."""
+    width = hi - lo
+    qs, ecount = _pairs(qs, hi)
+    last = np.minimum(ecount, (width // _kernels.STRIDE_RATIO - 1) // qs)
+    keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for which, s, e in _pair_runs(qs, np.ones_like(qs), last):
+        # the key of (column, s, t) is below width**2 / STRIDE_RATIO *
+        # ncols: under 2**55 for the sweep's widths (at most 2**20) and
+        # numbers of moduli (under 2**21)
+        keys.append((s * width + _start(s, e, lo) - lo) * ncols + cols[which])
+        weights.append(cs[which])
+    key, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    w = np.zeros(key.size, dtype=np.int64)
+    np.add.at(w, inv, np.concatenate(weights))
+    key, w = key[w != 0], w[w != 0]
+    views, view = np.unique(key // ncols, return_inverse=True)
+    return (views % width, views // width), (view, key % ncols, w)
+
+
+def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
+    """out[c] = the sum of cs[i] * d(n / qs[i]) over the moduli i with
+    cols[i] = c and the n divisible by qs[i], for ascending moduli qs and
+    ncols columns, counted on the hit bitmap of the window.
 
     d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
-    less the n = q*e*e itself.  No integer of the window is factored."""
-    out = np.zeros(qs.size, dtype=np.int64)
+    less the n = q*e*e itself.  Strides below 1/STRIDE_RATIO of the
+    width are strided views of the bitmap, each distinct view read once
+    for all the pairs that share it (``_views``); the longer strides are
+    expanded in batches, pair by pair.  No integer of the window is
+    factored."""
+    out = np.zeros(ncols, dtype=np.int64)
     if n.size == 0:
         return out
     width = hi - lo
     hit = np.zeros(width, dtype=np.bool_)
     hit[n - lo] = True
+    (offs, steps), (view, col, w) = _views(qs, cs, cols, ncols, lo, hi)
+    got = [np.count_nonzero(hit[o::st]) for o, st in zip(offs.tolist(), steps.tolist())]
+    np.add.at(out, col, 2 * w * np.array(got, dtype=np.int64)[view])
     qs, ecount = _pairs(qs, hi)
-    one = np.ones(qs.size, dtype=np.int64)
-    for which, e in _kernels.progressions(one, one, ecount):
-        s = qs[which] * e
-        sq = s * e
-        t = np.maximum(sq, -(-lo // s) * s)
+    per_q = np.zeros(qs.size, dtype=np.int64)
+    # the squares q*e*e >= lo, once each
+    for which, s, e in _pair_runs(qs, _isqrt_array((lo - 1) // qs) + 1, ecount):
+        _tally(per_q, which[hit[s * e - lo]], -1)
+    # the strides from 1/STRIDE_RATIO of the width on, expanded
+    first = np.maximum(0, (width // _kernels.STRIDE_RATIO - 1) // qs) + 1
+    for which, s, e in _pair_runs(qs, first, ecount):
+        t = _start(s, e, lo)
         count = (hi - 1 - t) // s + 1
-        at = sq >= lo
-        _tally(out, which[at][hit[sq[at] - lo]], -1)
-        # strides below 1/STRIDE_RATIO of the window are strided views of
-        # the bitmap, one pair at a time; the rest are expanded in batches
-        small = (count > 0) & (s < width // _kernels.STRIDE_RATIO)
-        offs = (t[small] - lo).tolist()
-        got = [np.count_nonzero(hit[o::st]) for o, st in zip(offs, s[small].tolist())]
-        np.add.at(out, which[small], 2 * np.array(got, dtype=np.int64))
-        big = (count > 0) & ~small
+        big = count > 0
         wbig = which[big]
-        for w, idx in _kernels.progressions(t[big] - lo, s[big], count[big]):
-            _tally(out, wbig[w[hit[idx]]], 2)
+        for j, idx in _kernels.progressions(t[big] - lo, s[big], count[big]):
+            _tally(per_q, wbig[j[hit[idx]]], 2)
+    np.add.at(out, cols[: qs.size], cs[: qs.size] * per_q)
     return out
 
 
@@ -253,19 +304,22 @@ def _divisor_weights(kind, nmax):
 
 
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
-# for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk.  The factor
-# route strikes only the eligible n, so it costs nearly the same in every
-# 2**20 window, 16-25 ms from 2*10**6 to 10**10.  Count over factor time
-# per 2**20 window, against pairs / width (tools/window_times.py, one
-# thread, BENCH_12.json): d 0.74 at 0.0044 (near 2*10**7), 1.15 at
-# 0.0096 (10**8), 1.63 at 0.017 (3*10**8), 1.93 at 0.030 (10**9), 4.99
-# at 0.095 (10**10); dk2 1.07 at 0.0089 (2*10**6), 1.08 at 0.013
-# (5*10**6), 1.54 at 0.026 (2*10**7), 2.70 at 0.061 (10**8).  The two
-# now cross near 0.008 pairs per integer, which would make the reach
-# about 120; at 100, tracking's dk2 windows above about 3.5*10**6 are
-# factored, its wall time falls but its peak memory rises by 3.5 MB
-# (BENCH_12.json), so the reach stays at 25: a window is counted when it
-# is at least _COUNT_REACH times as wide as its pairs.
+# for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk, whose pairs
+# with short strides share views (``_views``): dk2 reads 0.38 views per
+# pair near 10**6, 0.24 near 10**7.  The factor route strikes only the
+# eligible n, so it costs nearly the same in every 2**20 window, 15-25
+# ms from 10**6 to 10**10.  Count over factor time per 2**20 window,
+# against pairs / width (tools/window_times.py, one thread,
+# BENCH_14.json): d 0.75 at 0.0044 (near 2*10**7), 0.99 at 0.0096
+# (10**8); dk2 0.68 at 0.0089 (2*10**6), 0.70 at 0.013 (5*10**6), 1.08
+# at 0.026 (2*10**7), 1.43 at 0.061 (10**8); farther out, d 1.63 at
+# 0.017 (3*10**8), 1.93 at 0.030 (10**9), 4.99 at 0.095 (10**10)
+# (BENCH_12.json).  The two cross near 0.01 pairs per integer for d and
+# 0.02 for dk2, which would make the reach 50-100; at 100, tracking's
+# dk2 windows above about 3.5*10**6 were factored, its wall time fell
+# but its peak memory rose by 3.5 MB (BENCH_12.json), so the reach
+# stays at 25: a window is counted when it is at least _COUNT_REACH
+# times as wide as its pairs.
 _COUNT_REACH = 25
 
 
@@ -274,10 +328,11 @@ def _value_part(kind, nmax):
     counted for d, dk and unitary in windows wide enough for their
     pairs, factored otherwise."""
     qs, cs = (None, None) if kind.tag == "pillai" else _divisor_weights(kind, nmax)
+    cols = None if qs is None else np.zeros(qs.size, dtype=np.int64)
 
     def part(base, lo, hi, n):
         if qs is not None and _pairs(qs, hi)[1].sum() * _COUNT_REACH <= hi - lo:
-            return [int(cs @ _divisor_counts(qs, lo, hi, n))]
+            return _divisor_counts(qs, cs, cols, 1, lo, hi, n).tolist()
         return [_factor_part(kind, base, lo, hi, n)]
 
     return part
@@ -366,9 +421,10 @@ class FelixRecord:
 def _progression_sum(m, a, x, segment_width, workers):
     # T_m(x), exact for every m >= 1
     qs = np.full(1, m, dtype=np.int64)
+    weight, col = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
 
     def part(base, lo, hi, n):
-        return _divisor_counts(qs, lo, hi, n).tolist()
+        return _divisor_counts(qs, weight, col, 1, lo, hi, n).tolist()
 
     return _sweep(a, x, part, segment_width, workers)[x][1][0]
 
@@ -472,12 +528,16 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
     # a prime p | a can still have m | p - a (p = 2, a = -2, m = 4)
     qs, cs = _divisor_weights(kind, x - a)
     ns1 = int(np.searchsorted(qs, int(thr), side="right"))
+    # each S1 modulus counts T_m in a column of its own; the S2 moduli,
+    # weighted by mu(j), share the last one
+    i = np.arange(qs.size)
+    weights, cols = np.where(i < ns1, 1, cs), np.minimum(i, ns1)
 
     def part(base, lo, hi, n):
         # the total stays on the kfree kernel, so that s1 + s2 = total
         # checks the count against an independent route
-        t = _divisor_counts(qs, lo, hi, n)
-        return [_factor_part(kind, base, lo, hi, n), *t[:ns1].tolist(), int(cs[ns1:] @ t[ns1:])]
+        t = _divisor_counts(qs, weights, cols, ns1 + 1, lo, hi, n)
+        return [_factor_part(kind, base, lo, hi, n), *t.tolist()]
 
     _, [total, *t_m, s2] = _sweep(a, x, part, segment_width, workers)[x]
     per_m = tuple(zip(qs[:ns1].tolist(), cs[:ns1].tolist(), t_m))

@@ -390,12 +390,22 @@ def _divisor_oracle(qs, lo, hi, n):
 
 
 def _check_count(qs, cs, lo, hi, n):
+    # three column maps over the same moduli: one column per q, one
+    # column weighted by cs, and the decompose shape (the first half own
+    # a column each, unweighted; the rest share the last, weighted)
+    count = titchmarsh.sums._divisor_counts
     qs = np.array(qs, dtype=np.int64)
     cs = np.array(cs, dtype=np.int64)
     want = _divisor_oracle(qs.tolist(), lo, hi, n)
-    got = titchmarsh.sums._divisor_counts(qs, lo, hi, n)
+    i = np.arange(qs.size)
+    got = count(qs, np.ones_like(qs), i, qs.size, lo, hi, n)
     assert got.tolist() == want, (lo, hi)
-    assert int(cs @ got) == sum(c * w for c, w in zip(cs.tolist(), want))
+    [total] = count(qs, cs, np.zeros_like(qs), 1, lo, hi, n).tolist()
+    assert total == sum(c * w for c, w in zip(cs.tolist(), want)), (lo, hi)
+    own = (qs.size + 1) // 2
+    got = count(qs, np.where(i < own, 1, cs), np.minimum(i, own), own + 1, lo, hi, n)
+    rest = sum(c * w for c, w in zip(cs[own:].tolist(), want[own:]))
+    assert got.tolist() == [*want[:own], rest], (lo, hi)
 
 
 def _signed_powers(js, k):
@@ -439,6 +449,26 @@ def test_divisor_count_edges(lo, hi, n):
     _check_count([1], [1], lo, hi, n)
     _check_count([1, 3, 7, 4, 9, 25], [1, 1, 1, -1, -1, -1], lo, hi, n)
     _check_count(*_signed_powers(range(1, 30), 2), lo, hi, n)
+    # q = 1, e = 4 and q = 4, e = 1 share one view at stride 4 once
+    # lo > 12, and their weights cancel there
+    _check_count([1, 4], [1, -1], lo, hi, n)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 5])
+def test_divisor_count_merges_one_stride_by_its_start(e):
+    # q = 1 at 4e and q = 4 at e share the stride s = 4e; the first
+    # starts at 16e*e, the second at the first multiple of s from
+    # max(lo, 4e*e).  For 4e*e < lo < 16e*e they read two views; from
+    # lo = 16e*e on, one, which weights +1 and -1 cancel
+    qs, cols = np.array([1, 4]), np.zeros(2, dtype=np.int64)
+    for lo, views in ((4 * e * e + 1, 2), (16 * e * e, 0)):
+        hi = lo + 64 * (4 * e + 1) + 3  # s = 4e is below 1/64 of the width
+        (_, steps), _ = titchmarsh.sums._views(qs, np.array([1, -1]), cols, 1, lo, hi)
+        assert (steps == 4 * e).sum() == views
+        n = np.arange(lo, hi, dtype=np.int64)
+        for dense in (n, n[n % 3 != 1]):
+            _check_count([1, 4], [1, -1], lo, hi, dense)
+            _check_count([1, 4], [1, 1], lo, hi, dense)
 
 
 @pytest.mark.parametrize("kind", [DIVISOR, k_free_divisor(2), k_free_divisor(3), UNITARY_DIVISOR])
@@ -471,7 +501,7 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
         [got] = part(base, lo, top, n)
         picked.append(routes[0])
         want = int(value_range(kind, lo, top)[n - lo].sum())
-        counted = int(cs @ sums._divisor_counts(qs, lo, top, n))
+        [counted] = sums._divisor_counts(qs, cs, np.zeros_like(qs), 1, lo, top, n).tolist()
         assert got == want == counted, (kind.label, lo, top)
     assert picked == ["_divisor_counts", "_factor_part"]
 

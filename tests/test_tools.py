@@ -28,3 +28,4 @@ def test_window_times_reads_the_windows_it_names(capsys):
     for rows in table.values():
         assert all(v >= 0 for v in rows.values())
         assert rows["dense table"] > 0
+        assert rows["dk2 views/int"] <= rows["dk2 pairs/int"]

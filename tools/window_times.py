@@ -21,6 +21,9 @@ Rows, each the median of N runs (default 5) on one thread:
   d / dk2 pairs/int  the count's pairs (q, e) per integer of the window;
                      the sums count a window when this is at most
                      1 / sums._COUNT_REACH
+  dk2 views/int      the distinct strided views of the bitmap the dk2
+                     count reads per integer (sums._views): the pairs
+                     with short strides, merged, less those that cancel
 
 --json prints one JSON object {point: {row: value}} instead of the table.
 """
@@ -36,7 +39,7 @@ import numpy as np
 from titchmarsh import _kernels
 from titchmarsh.functions import DIVISOR, PILLAI, k_free_divisor, value_range
 from titchmarsh.sieve import primes_up_to
-from titchmarsh.sums import _divisor_counts, _divisor_weights, _factor_part, _pairs
+from titchmarsh.sums import _divisor_counts, _divisor_weights, _factor_part, _pairs, _views
 
 DK2 = k_free_divisor(2)
 
@@ -74,17 +77,20 @@ def window_rows(plo, a, width, runs):
     p = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base.primes)) + plo
     n = p[p > a] - a
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
+    # one column, as the sums count them
+    d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
     return {
         "eligible n": int(n.size),
         "primality bitmap": _ms(lambda: _kernels.ACTIVE.primality(plo, phi, base.primes), runs),
-        "d counted": _ms(lambda: d_c @ _divisor_counts(d_q, lo, hi, n), runs),
-        "dk2 counted": _ms(lambda: k_c @ _divisor_counts(k_q, lo, hi, n), runs),
+        "d counted": _ms(lambda: _divisor_counts(d_q, d_c, d_col, 1, lo, hi, n), runs),
+        "dk2 counted": _ms(lambda: _divisor_counts(k_q, k_c, k_col, 1, lo, hi, n), runs),
         "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, n), runs),
         "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, n), runs),
         "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, n), runs),
         "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
+        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi)[0][0].size / (hi - lo),
     }
 
 
@@ -107,7 +113,7 @@ def main(argv=None):
         cells = []
         for c in cols:
             v = table[c][row]
-            cells.append(f"{v:,}" if isinstance(v, int) else f"{v:.4f}" if "pairs" in row else f"{v:.1f}")
+            cells.append(f"{v:,}" if isinstance(v, int) else f"{v:.4f}" if "/int" in row else f"{v:.1f}")
         print(f"| {row} | " + " | ".join(cells) + " |")
 
 
