@@ -1,7 +1,9 @@
 """Segment kernels over half-open windows [lo, hi) of consecutive integers.
 
 Every kernel expects ``primes`` to contain all primes up to
-isqrt(hi - 1), sorted ascending, as an int64 array.  The factorization
+isqrt(hi - 1), sorted ascending, as an int64 array; the primality
+kernel may instead sieve a class c + m*t over a window of t, given the
+base primes prime to m and the first t each strikes.  The factorization
 kernels share one strike (``strike``): each base prime is struck
 through the window and divided out of a residual array, and a residual
 > 1 left at the end is a single prime factor (a composite residual
@@ -247,20 +249,32 @@ def _fold(lo, hi, primes, ufunc, *factors, at=None, dtype=np.int64):
     return out
 
 
-def _primality(lo, hi, primes):
-    # strikes from p*p on, the primes below 1/STRIDE_RATIO of the width as
-    # strided views and the rest in batches, as in ``strike``
+def _primality(lo, hi, primes, first=None):
+    """Flags of the t in [lo, hi) whose c + m*t is prime, for a class
+    c (mod m) given by ``first``: each base prime l not dividing m,
+    ascending in ``primes``, strikes the t = first[i] (mod l) from
+    first[i] on, the t with l | c + m*t and c + m*t >= l*l.  Without
+    ``first``, the line: t is the integer itself, each prime strikes
+    from its square, and 0 and 1 are cleared.  The primes below
+    1/STRIDE_RATIO of the width strike strided views, the rest go in
+    batches, as in ``strike``."""
     width = hi - lo
     flags = np.ones(width, dtype=np.bool_)
-    primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
+    if first is None:
+        primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
+        first = primes * primes
+        flags[: max(0, 2 - lo)] = False
+    else:
+        keep = first < hi
+        primes, first = primes[keep], first[keep]
+    # the offset of each prime's first strike in the window
+    first = np.maximum(first, lo + (first - lo) % primes) - lo
     split = int(np.searchsorted(primes, width // STRIDE_RATIO))
-    for p in primes[:split].tolist():
-        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    big = primes[split:]
-    first = np.maximum(big * big, -(-lo // big) * big) - lo
+    for p, s in zip(primes[:split].tolist(), first[:split].tolist()):
+        flags[s::p] = False
+    big, first = primes[split:], first[split:]
     for _, idx in progressions(first, big, (width - first + big - 1) // big):
         flags[idx] = False
-    flags[: max(0, 2 - lo)] = False
     return flags
 
 

@@ -1,9 +1,13 @@
 """Shifted-prime sums, progression partial sums, and the S1/S2 split.
 
-Every driver is one sweep of [2, x] in segments (``_sweep``): a
-primality bitmap on the prime side yields n = p - a, each sum's part
-reads the segment's columns off the n-window, and the sweep sums the
-columns up to each cut.  Segment jobs run on a thread pool (numpy
+Every driver is one sweep in segments (``_sweep``): a primality bitmap
+on the prime side yields the eligible n, each sum's part reads the
+segment's columns off the n-window, and the sweep sums the columns up
+to each cut.  The sums and ``decompose`` sweep the line [2, x], n = p -
+a.  ``felix`` sweeps only the class p = a (mod m): the bitmap runs
+over t, p = c + m*t, each base prime striking its one root class, so a
+window holds m times the primes of a line window and n = (p - a) / m
+is the r of d(r) itself.  Segment jobs run on a thread pool (numpy
 releases the GIL inside its array operations) and are reduced strictly
 in segment order, which together with exact integer accumulation makes
 every sum bit-identical across segment widths and worker counts.
@@ -20,15 +24,15 @@ view is read once and a view whose weights cancel is not read at all
 where they share a start, so the views at a stride that is not
 squarefree cancel).  Counted this way:
 
-- ``felix`` T_m: one column, q = m, weight 1;
 - ``decompose``: each S1 modulus q = m in a column of its own, weight
   1, and S2 in one column shared by q = j**k, weight mu(j), over the
   large squarefree j;
-- the ``d``, ``dk`` and ``unitary`` sums: one column, q = 1 for d and
-  q = j**k, weight mu(j) for dk (dk = mu_k * d; unitary is dk with
-  k = 2), in windows at least _COUNT_REACH times as wide as the count
-  has pairs (q, e), isqrt(n_max) of them for d.  Narrower windows, and
-  so higher n, go to the factor route (``_factor_part``).
+- the ``d``, ``dk`` and ``unitary`` sums, and ``felix`` T_m, the d sum
+  over the r of its class: one column, q = 1 for d and q = j**k,
+  weight mu(j) for dk (dk = mu_k * d; unitary is dk with k = 2), in
+  windows at least _COUNT_REACH times as wide as the count has pairs
+  (q, e), isqrt(n_max) of them for d.  Narrower windows, and so higher
+  n, go to the factor route (``_factor_part``).
 
 Factored: Pillai sums, the factor route above, and the total of
 ``decompose``, which stays on the kfree kernel so that s1 + s2 = total
@@ -56,6 +60,7 @@ import numpy as np
 from . import _kernels
 from .constants import CfSpec, _check_shift, bk_product, cf_series, felix_cm, titchmarsh_factor
 from .functions import (
+    DIVISOR,
     MOEBIUS,
     FunctionKind,
     function_table,
@@ -154,40 +159,82 @@ def _main_constant(tag, k, a):
     return cf_series(CfSpec.pillai_rule(), a).value
 
 
-def _eligible_primes(seg, base, a):
-    flags = _kernels.ACTIVE.primality(seg.lo, seg.hi, base.primes)
-    p = np.nonzero(flags)[0].astype(np.int64) + seg.lo
+@dataclass(frozen=True)
+class _Class:
+    """The primes p = a (mod m) of a sweep, gcd(a, m) = 1, written p = c +
+    m*t with c = a - m*ceil(a/m) in (-m, 0], so that every p >= 2 has t
+    >= 1; on the line, m = 1, t is p itself.  ``primes`` are the base
+    primes up to isqrt(x) that do not divide m, and ``first`` the t from
+    which each strikes the class (``_kernels._primality``)."""
+
+    m: int
+    c: int
+    primes: np.ndarray
+    first: np.ndarray
+
+
+def _class_sieve(a, m, x, base):
+    # the roots t = -c/m (mod l) of l | c + m*t, with 1/m = m**(l - 2)
+    # (mod l) by Fermat, for every l at once (l < 2**21, so no product
+    # overflows), each from the least t with c + m*t >= l*l on
+    c = -(-a % m)
+    primes = base[: np.searchsorted(base, isqrt(x), side="right")]
+    primes = primes[m % primes != 0]
+    inv, b, e = np.ones_like(primes), m % primes, primes - 2
+    while e.any():
+        inv = np.where(e & 1, inv * b % primes, inv)
+        b = b * b % primes
+        e >>= 1
+    root = -c % primes * inv % primes
+    low = -((c - primes * primes) // m)
+    return _Class(m, c, primes, low + (root - low) % primes)
+
+
+def _eligible_primes(seg, cls, a):
+    # the primes p = c + m*t of the class over the t of the segment
+    t = np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first))
+    p = cls.c + cls.m * (t + seg.lo)
     if a > 0:
         keep = p > a
         return p[keep], int(p.size - keep.sum())
     return p, 0
 
 
-def _sweep(a, x, part, segment_width, workers, cuts=()):
-    """{c: (skipped primes, column sums)} over the primes p <= c, for each
-    c in cuts and for x, from one pass over [2, x] in segments.
+def _sweep(a, x, part, segment_width, workers, cuts=(), m=1):
+    """{c: (skipped primes, column sums)} over the primes p <= c of the
+    class p = a (mod m), for each c in cuts and for x, from one pass
+    over the class in segments of t (``_Class``), from the first p >= 2
+    on: on the line, m = 1, the pass is over [2, x].
 
     ``part(base, lo, hi, n)`` returns one segment's columns, a list of
-    exact ints: n = p - a over the segment's eligible primes, ascending,
-    in the n-window [lo, hi) = [max(1, seg.lo - a), seg.hi - a), and base
-    the primes up to the square root of the largest n or p.  Columns are
-    summed in segment order."""
+    exact ints: n = (p - a) / m over the segment's primes p > a,
+    ascending, in the n-window [lo, hi) = [max(1, seg.lo - k), seg.hi -
+    k), k = (a - c) / m, and base the primes up to the square root of
+    the largest n or p.  Columns are summed in segment order; a class
+    with no p in [2, x] has the columns of a window with no n."""
     workers = _resolve_workers(workers)
     base = primes_up_to(max(2, isqrt(max(x, x - a, 4))))
-    ends = {c + 1 for c in cuts} | {x + 1}
-    segs = iter_segments(2, x + 1, segment_width, cuts=ends)
+    cls = _class_sieve(a, m, x, base.primes)
+    k = (a - cls.c) // m
+    ends = {cut: (cut - cls.c) // m + 1 for cut in (*cuts, x)}
+    first = -((cls.c - 2) // m)
+    if first >= ends[x]:
+        zero = part(base, 1, 1, np.zeros(0, dtype=np.int64))
+        return {cut: (0, zero) for cut in ends}
+    stops = set(ends.values())
+    segs = iter_segments(first, ends[x], segment_width, cuts=stops)
 
     def job(seg):
-        p, nskip = _eligible_primes(seg, base, a)
-        return seg.hi, nskip, part(base, max(1, seg.lo - a), seg.hi - a, p - a)
+        p, nskip = _eligible_primes(seg, cls, a)
+        return seg.hi, nskip, part(base, max(1, seg.lo - k), seg.hi - k, (p - a) // m)
 
     rows, skipped, acc = {}, 0, None
     for hi, nskip, cols in _run_ordered(segs, job, workers):
         skipped += nskip
         acc = cols if acc is None else [s + c for s, c in zip(acc, cols)]
-        if hi in ends:
-            rows[hi - 1] = (skipped, acc)
-    return rows
+        if hi in stops:
+            rows[hi] = (skipped, acc)
+    return {cut: rows[end] for cut, end in ends.items()}
 
 
 def _isqrt_array(v):
@@ -419,14 +466,10 @@ class FelixRecord:
 
 
 def _progression_sum(m, a, x, segment_width, workers):
-    # T_m(x), exact for every m >= 1
-    qs = np.full(1, m, dtype=np.int64)
-    weight, col = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-
-    def part(base, lo, hi, n):
-        return _divisor_counts(qs, weight, col, 1, lo, hi, n).tolist()
-
-    return _sweep(a, x, part, segment_width, workers)[x][1][0]
+    # T_m(x), exact for every m >= 1: the d sum over r = (p - a)/m, swept
+    # over the class alone
+    part = _value_part(DIVISOR, (x - a) // m)
+    return _sweep(a, x, part, segment_width, workers, m=m)[x][1][0]
 
 
 def felix_partial_sum(

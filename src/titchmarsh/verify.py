@@ -289,6 +289,18 @@ def felix_tracking():
     return True, "; ".join(details)
 
 
+def felix_matches_split(x=10**6, moduli=(4, 9, 25)):
+    """felix T_m at a = 1, swept over its class, equals decompose's per_m
+    column, counted on the line with q = m, for S1 moduli m.  felix with
+    m = 1 is the d sum's own code, so this is felix's independent route."""
+    per_m = {m: t for m, _, t in _decompose_run(CANONICAL_WORKERS, CANONICAL_WIDTH, x).per_m}
+    for m in moduli:
+        t = _felix_run(m, CANONICAL_WORKERS, CANONICAL_WIDTH, x).t_sum
+        if t != per_m[m]:
+            return False, f"felix T_{m}({x}) = {t}, decompose per_m = {per_m[m]}"
+    return True, f"felix T_m({x}) = decompose per_m for m in {list(moduli)}"
+
+
 def determinism(configs=_DETERMINISM_CONFIGS, checkpoints=TRACKING_CHECKPOINTS,
                 felix_x=FELIX_X, decompose_x=10**6):
     """Criteria 7-9 outputs identical across the (workers, width)
@@ -339,6 +351,7 @@ _FAST_CHECKS = (
     ("hand-anchors", hand_anchors),
     ("partition", lambda: partition_exactness(10**5)),
     ("felix-coincides", _felix_coincides_fast),
+    ("felix-split", lambda: felix_matches_split(10**5)),
     (
         "determinism",
         lambda: determinism(((1, 1 << 16), (4, 1 << 14)), (10**4, 10**5), 10**5, 10**5),

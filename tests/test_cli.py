@@ -290,6 +290,29 @@ def test_modulus_beyond_max_range_is_rejected_at_once():
     assert "modulus" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["felix", "--m", "1001", "--x", "1000"],  # m > x - a: no r >= 1
+    ["felix", "--m", "10", "--a", "-9", "--x", "3"],  # r = 1 is p = 1
+])
+def test_empty_class_is_answered_with_zero(capsys, argv):
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out)["t_sum"] == 0
+
+
+def test_narrow_width_the_class_fits_is_answered(capsys):
+    # [2, 10**8] spans more than 2**20 widths of 64; the class p = 1
+    # (mod 1000), 10**5 values of r, does not
+    argv = ["felix", "--m", "1000", "--x", "100000000", "--format", "json"]
+    code, out = _run(capsys, argv + ["--segment-width", "64"])
+    assert code == 0
+    assert out == _run(capsys, argv)[1]
+    code, out = _run(capsys, ["sum", "--fn", "d", "--x", "100000000", "--segment-width", "64",
+                              "--format", "json"])
+    assert code == 2
+    assert "too narrow" in json.loads(out)["error"]
+
+
 def test_too_many_segments_is_a_domain_error():
     argv = ["sum", "--fn", "d", "--x", "100000000", "--segment-width", "1", "--format", "json"]
     [(code, out)] = _run_bounded([argv], timeout=30)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import titchmarsh.sums
@@ -194,6 +194,75 @@ def test_felix_direct_oracle_small():
         assert felix_partial_sum(m, a, 10**4).t_sum == expect, (m, a)
 
 
+def _line_progression(m, a, x):
+    # T_m(x) as the line sweep counts it: every prime p <= x, and the
+    # n = p - a divisible by m counted with q = m
+    qs, cs, cols = (np.array([v], dtype=np.int64) for v in (m, 1, 0))
+
+    def part(base, lo, hi, n):
+        return titchmarsh.sums._divisor_counts(qs, cs, cols, 1, lo, hi, n).tolist()
+
+    return titchmarsh.sums._sweep(a, x, part, 1 << 20, 1)[x][1][0]
+
+
+@st.composite
+def _progressions(draw):
+    m = draw(st.integers(1, 60))
+    a = draw(st.integers(-(10**4), 10**4).filter(lambda a: a != 0 and math.gcd(a, m) == 1))
+    width = draw(st.sampled_from([1, 7, 97, 1 << 12, 1 << 20]))
+    # at most about 300 windows of the class, x near that bound or tiny
+    cap = min(3 * 10**5, 300 * width * m)
+    x = draw(st.integers(max(3, cap // 10), cap) | st.integers(3, 100))
+    return m, a, x, width, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=_progressions())
+@example(case=(7, -9999, 20011, 97, 2))  # a < 0
+@example(case=(60, 7, 3 * 10**5, 1 << 12, 1))  # even m, odd a
+@example(case=(59, -2, 3000, 7, 2))  # m above isqrt(x)
+@example(case=(3, -1, 1000, 1, 1))  # p = 2 is in the class, at r = 1
+# r near 10**5: windows below r = 26843 are counted, those above factored
+@example(case=(3, 1, 3 * 10**5, 1 << 12, 2))
+def test_class_sweep_matches_the_line(case):
+    m, a, x, width, workers = case
+    got = felix_partial_sum(m, a, x, segment_width=width, workers=workers).t_sum
+    assert got == _line_progression(m, a, x), case
+
+
+def test_class_sweep_takes_both_sides_of_the_count_rule(monkeypatch):
+    sums = titchmarsh.sums
+    routes = []
+    for route in ("_divisor_counts", "_factor_part"):
+        fn = getattr(sums, route)
+        monkeypatch.setattr(sums, route,
+                            lambda *args, fn=fn, route=route: routes.append(route) or fn(*args))
+    got = felix_partial_sum(3, 1, 3 * 10**5, segment_width=1 << 12, workers=1).t_sum
+    assert set(routes) == {"_divisor_counts", "_factor_part"}
+    monkeypatch.undo()
+    assert got == _line_progression(3, 1, 3 * 10**5)
+
+
+@pytest.mark.parametrize("m,a,x", [
+    (1001, 1, 1000),  # m > x - a: no r >= 1
+    (2**40, 1, 2**40),
+    (10, -9, 3),  # r = 1 is p = 1
+    (8, 1, 10),  # r = 1 is p = 9
+    (3, 10**4, 10**4 + 2),  # the class's p <= x are all p <= a
+])
+def test_empty_class_sums_to_zero(m, a, x):
+    assert felix_partial_sum(m, a, x).t_sum == 0
+
+
+def test_felix_matches_the_split_columns():
+    # T_m over the class against decompose's per_m column, counted on
+    # the line with q = m: two routes to the same sums
+    x = 10**6
+    per_m = {m: t for m, _, t in decompose_s1_s2(2, 1, x).per_m}
+    for m in (4, 9, 25):
+        assert felix_partial_sum(m, 1, x).t_sum == per_m[m], m
+
+
 def test_residue_partition():
     # summing over all residue classes mod q recovers the plain shifted sum
     x, a = 10**5, 1
@@ -291,11 +360,12 @@ def test_decompose_counts_primes_dividing_a(a):
     assert rep.s1 + rep.s2 == rep.total
 
 
-@pytest.mark.parametrize("run", [
-    lambda x: decompose_s1_s2(2, 1, x),
-    lambda x: felix_partial_sum(3, 1, x),
+@pytest.mark.parametrize("run,span", [
+    (lambda x: decompose_s1_s2(2, 1, x), (2, 10**4 + 1)),
+    # the class p = 1 + 3r, r in [1, 3333], swept as p = -2 + 3t, t = r + 1
+    (lambda x: felix_partial_sum(3, 1, x), (2, 3335)),
 ], ids=["decompose", "felix"])
-def test_one_sweep_of_the_primes(monkeypatch, run):
+def test_one_sweep_of_the_primes(monkeypatch, run, span):
     calls = []
     sweep = titchmarsh.sums.iter_segments
 
@@ -305,7 +375,7 @@ def test_one_sweep_of_the_primes(monkeypatch, run):
 
     monkeypatch.setattr(titchmarsh.sums, "iter_segments", counted)
     run(10**4)
-    assert calls == [(2, 10**4 + 1)]
+    assert calls == [span]
 
 
 def test_decompose_k3():

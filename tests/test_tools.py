@@ -29,3 +29,6 @@ def test_window_times_reads_the_windows_it_names(capsys):
         assert all(v >= 0 for v in rows.values())
         assert rows["dense table"] > 0
         assert rows["dk2 views/int"] <= rows["dk2 pairs/int"]
+    # T_2 is read only at the odd shift
+    assert table["1000000:1"]["felix class"] > 0 and table["1000000:1"]["felix line"] > 0
+    assert "felix class" not in table["2:-549755813888"]

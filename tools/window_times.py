@@ -6,14 +6,24 @@ Usage:
 
 Each point P:A is one window of the primes, [P, P + W), and its shift a;
 the sums read n = p - a for the primes p > a there, so the n-window is
-[max(1, P - a), P + W - a).  The default points are 10^8:1 (n near
-10^8) and 2:-2^39 (n near 2^39, the first window of a sum with
-a = -2^39).  Numbers may be written 123, 3e8 or 2^39.
+[max(1, P - a), P + W - a).  The default points are 10^7:1 (the top
+window of felix's T_m to 10^7), 10^8:1 (n near 10^8) and 2:-2^39 (n
+near 2^39, the first window of a sum with a = -2^39).  Numbers may be
+written 123, 3e8 or 2^39.
 
 Rows, each the median of N runs (default 5) on one thread:
   eligible n         the number of n = p - a the sums read
   primality bitmap   ms for the primality kernel over the prime window
   d / dk2 counted    ms for the hyperbola count (sums._divisor_counts)
+  felix line         ms for T_2 counted on the line, where decompose's
+                     per_m columns count it: the primality bitmap of the
+                     window and the count with q = 2 (odd a only)
+  felix class        ms for one window of felix's T_2 sweep over the class
+                     p = a (mod 2), the primes from P on: the class bitmap
+                     over W values of t = (p - c) / 2, twice the primes of
+                     a line window, and d at their r = (p - a) / 2,
+                     counted or factored as the sums' rule picks (odd a
+                     only)
   d / dk2 factored   ms for the factor route at the eligible n
   Pillai factored    ms for the Pillai terms at the eligible n
   dense table        ms for d at every n of the n-window, the whole-window
@@ -38,8 +48,17 @@ import numpy as np
 
 from titchmarsh import _kernels
 from titchmarsh.functions import DIVISOR, PILLAI, k_free_divisor, value_range
-from titchmarsh.sieve import primes_up_to
-from titchmarsh.sums import _divisor_counts, _divisor_weights, _factor_part, _pairs, _views
+from titchmarsh.sieve import Segment, primes_up_to
+from titchmarsh.sums import (
+    _class_sieve,
+    _divisor_counts,
+    _divisor_weights,
+    _eligible_primes,
+    _factor_part,
+    _pairs,
+    _value_part,
+    _views,
+)
 
 DK2 = k_free_divisor(2)
 
@@ -69,6 +88,31 @@ def _ms(call, runs):
     return statistics.median(times)
 
 
+def _felix_rows(plo, a, width, runs):
+    # T_2 over the primes from plo on: one line window and one class window
+    phi = plo + width
+    base = primes_up_to(max(2, isqrt(max(phi + width, phi + width - a))))
+    q, one = np.full(1, 2), np.ones(1, dtype=np.int64)
+    col = np.zeros(1, dtype=np.int64)
+
+    def line():
+        p = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base.primes)) + plo
+        n = p[p > a] - a
+        return _divisor_counts(q, one, col, 1, max(1, plo - a), phi - a, n)
+
+    # the sweep's coordinates: p = c + 2t, r = t - k
+    cls = _class_sieve(a, 2, phi + width, base.primes)
+    k, t = (a - cls.c) // 2, -((cls.c - plo) // 2)
+    seg = Segment(t, t + width)
+    part = _value_part(DIVISOR, seg.hi - 1 - k)
+
+    def over_the_class():
+        p, _ = _eligible_primes(seg, cls, a)
+        return part(base, max(1, seg.lo - k), seg.hi - k, (p - a) // 2)
+
+    return {"felix line": _ms(line, runs), "felix class": _ms(over_the_class, runs)}
+
+
 def window_rows(plo, a, width, runs):
     """{row: value} for the prime window [plo, plo + width) and shift a."""
     phi = plo + width
@@ -84,6 +128,7 @@ def window_rows(plo, a, width, runs):
         "primality bitmap": _ms(lambda: _kernels.ACTIVE.primality(plo, phi, base.primes), runs),
         "d counted": _ms(lambda: _divisor_counts(d_q, d_c, d_col, 1, lo, hi, n), runs),
         "dk2 counted": _ms(lambda: _divisor_counts(k_q, k_c, k_col, 1, lo, hi, n), runs),
+        **(_felix_rows(plo, a, width, runs) if a % 2 else {}),
         "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, n), runs),
         "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, n), runs),
         "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, n), runs),
@@ -101,7 +146,7 @@ def main(argv=None):
     ap.add_argument("--width", type=_int, default=1 << 20)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args(argv)
-    points = args.points or [(10**8, 1), (2, -(2**39))]
+    points = args.points or [(10**7, 1), (10**8, 1), (2, -(2**39))]
     table = {f"{p}:{a}": window_rows(p, a, args.width, args.runs) for p, a in points}
     if args.json:
         print(json.dumps(table, indent=1))
@@ -109,11 +154,14 @@ def main(argv=None):
     cols = list(table)
     print("| | " + " | ".join(cols) + " |")
     print("|---" * (len(cols) + 1) + "|")
-    for row in next(iter(table.values())):
+    for row in dict.fromkeys(r for rows in table.values() for r in rows):
         cells = []
         for c in cols:
-            v = table[c][row]
-            cells.append(f"{v:,}" if isinstance(v, int) else f"{v:.4f}" if "/int" in row else f"{v:.1f}")
+            v = table[c].get(row)
+            if v is None:
+                cells.append("-")
+            else:
+                cells.append(f"{v:,}" if isinstance(v, int) else f"{v:.4f}" if "/int" in row else f"{v:.1f}")
         print(f"| {row} | " + " | ".join(cells) + " |")
 
 
