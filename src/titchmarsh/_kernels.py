@@ -254,19 +254,17 @@ def _primality(lo, hi, primes, first=None):
     c (mod m) given by ``first``: each base prime l not dividing m,
     ascending in ``primes``, strikes the t = first[i] (mod l) from
     first[i] on, the t with l | c + m*t and c + m*t >= l*l.  Without
-    ``first``, the line: t is the integer itself, each prime strikes
-    from its square, and 0 and 1 are cleared.  The primes below
-    1/STRIDE_RATIO of the width strike strided views, the rest go in
-    batches, as in ``strike``."""
+    ``first``, the line c = 0, m = 1: each prime strikes from its
+    square, and 0 and 1 are cleared.  The primes below 1/STRIDE_RATIO
+    of the width strike strided views, the rest go in batches, as in
+    ``strike``."""
     width = hi - lo
     flags = np.ones(width, dtype=np.bool_)
     if first is None:
-        primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
         first = primes * primes
         flags[: max(0, 2 - lo)] = False
-    else:
-        keep = first < hi
-        primes, first = primes[keep], first[keep]
+    keep = first < hi
+    primes, first = primes[keep], first[keep]
     # the offset of each prime's first strike in the window
     first = np.maximum(first, lo + (first - lo) % primes) - lo
     split = int(np.searchsorted(primes, width // STRIDE_RATIO))

@@ -208,9 +208,8 @@ def mu_k_table(n, k):
         raise ValueError("need n >= 1 and k >= 2")
     t = np.zeros(n + 1, dtype=np.int64)
     jmax = integer_kth_root(n, k)
-    mu_vals = value_range(MOEBIUS, 1, jmax + 1)
-    for j in range(1, jmax + 1):
-        t[j**k] = mu_vals[j - 1]
+    # a k past n's bit length leaves j = 1 alone, and 1**k = 1
+    t[np.arange(1, jmax + 1) ** min(k, n.bit_length())] = value_range(MOEBIUS, 1, jmax + 1)
     return t
 
 

@@ -53,9 +53,9 @@ class Segment:
 
 def primes_up_to(n):
     """All primes up to and including n, by the segmented sieve: the
-    primes up to isqrt(n) <= 2**16, from a plain byte sieve, are struck
-    through each window of ``iter_segments(2, n + 1)`` by the primality
-    kernel.
+    primes up to isqrt(n), from this function itself (none when n < 4),
+    are struck through each window of ``iter_segments(2, n + 1)`` by the
+    primality kernel.
 
     Memory is one window of flags plus the primes returned.
     """
@@ -64,13 +64,7 @@ def primes_up_to(n):
         raise ValueError("no primes below 2")
     if n > MAX_PRIME_LIMIT:
         raise ValueError(f"prime limit {n} exceeds {MAX_PRIME_LIMIT}")
-    r = isqrt(n)
-    flags = np.ones(r + 1, dtype=np.bool_)
-    flags[:2] = False
-    for p in range(2, isqrt(r) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    base = np.flatnonzero(flags)
+    base = primes_up_to(isqrt(n)).primes if n >= 4 else np.zeros(0, dtype=np.int64)
     found = [
         np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, base)) + seg.lo
         for seg in iter_segments(2, n + 1)

@@ -51,7 +51,7 @@ error is below x * 2**-64, invisible at double precision.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -200,11 +200,13 @@ def _eligible_primes(seg, cls, a):
     return p, 0
 
 
-def _sweep(a, x, part, segment_width, workers, cuts=(), m=1):
+def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
     """{c: (skipped primes, column sums)} over the primes p <= c of the
     class p = a (mod m), for each c in cuts and for x, from one pass
-    over the class in segments of t (``_Class``), from the first p >= 2
-    on: on the line, m = 1, the pass is over [2, x].
+    over the class in segments of t (``_Class``), from the first p >=
+    max(2, least) on: on the line, m = 1, with least = 2 the pass is
+    over [2, x].  A sum that reads no skipped primes passes least = a +
+    1, its first p > a.
 
     ``part(base, lo, hi, n)`` returns one segment's columns, a list of
     exact ints: n = (p - a) / m over the segment's primes p > a,
@@ -217,7 +219,7 @@ def _sweep(a, x, part, segment_width, workers, cuts=(), m=1):
     cls = _class_sieve(a, m, x, base.primes)
     k = (a - cls.c) // m
     ends = {cut: (cut - cls.c) // m + 1 for cut in (*cuts, x)}
-    first = -((cls.c - 2) // m)
+    first = -((cls.c - max(2, least)) // m)
     if first >= ends[x]:
         zero = part(base, 1, 1, np.zeros(0, dtype=np.int64))
         return {cut: (0, zero) for cut in ends}
@@ -366,7 +368,9 @@ def _divisor_weights(kind, nmax):
 # dk2 windows above about 3.5*10**6 were factored, its wall time fell
 # but its peak memory rose by 3.5 MB (BENCH_12.json), so the reach
 # stays at 25: a window is counted when it is at least _COUNT_REACH
-# times as wide as its pairs.
+# times as wide as its pairs.  The count stays: factoring every window
+# instead made the split workload 42% slower in wall time (felix loses
+# its count) and raised its peak memory 6% (2 vCPUs, 4 of 4 pairs).
 _COUNT_REACH = 25
 
 
@@ -452,13 +456,7 @@ class FelixRecord:
     predicted: float
 
     def to_dict(self):
-        return {
-            "m": self.m,
-            "a": self.a,
-            "x": self.x,
-            "t_sum": self.t_sum,
-            "predicted": self.predicted,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -469,7 +467,7 @@ def _progression_sum(m, a, x, segment_width, workers):
     # T_m(x), exact for every m >= 1: the d sum over r = (p - a)/m, swept
     # over the class alone
     part = _value_part(DIVISOR, (x - a) // m)
-    return _sweep(a, x, part, segment_width, workers, m=m)[x][1][0]
+    return _sweep(a, x, part, segment_width, workers, m=m, least=a + 1)[x][1][0]
 
 
 def felix_partial_sum(
@@ -519,29 +517,14 @@ class DecompositionReport:
     per_m: tuple = field(default_factory=tuple)
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "a": self.a,
-            "x": self.x,
-            "B": self.B,
-            "threshold": self.threshold,
-            "s1": self.s1,
-            "s2": self.s2,
-            "total": self.total,
-            "per_m": [{"m": m, "mu": c, "t_m": t} for m, c, t in self.per_m],
-        }
+        per_m = [{"m": m, "mu": c, "t_m": t} for m, c, t in self.per_m]
+        return {**asdict(self), "per_m": per_m}
 
 
 # Not called by the package any more; perfbench/tracing.py still wraps
 # it by name, so it stays bound.
 def _primes_array(x, base, segment_width, workers):
-    segs = iter_segments(2, x + 1, segment_width)
-
-    def job(seg):
-        flags = _kernels.ACTIVE.primality(seg.lo, seg.hi, base.primes)
-        return np.nonzero(flags)[0].astype(np.int64) + seg.lo
-
-    return np.concatenate(_run_ordered(segs, job, workers))
+    return primes_up_to(x).primes
 
 
 def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, workers=None):
@@ -582,7 +565,7 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
         t = _divisor_counts(qs, weights, cols, ns1 + 1, lo, hi, n)
         return [_factor_part(kind, base, lo, hi, n), *t.tolist()]
 
-    _, [total, *t_m, s2] = _sweep(a, x, part, segment_width, workers)[x]
+    _, [total, *t_m, s2] = _sweep(a, x, part, segment_width, workers, least=a + 1)[x]
     per_m = tuple(zip(qs[:ns1].tolist(), cs[:ns1].tolist(), t_m))
     s1 = sum(mu * t for _, mu, t in per_m)
     return DecompositionReport(k, a, x, B, thr, s1, s2, total, per_m)

@@ -78,6 +78,10 @@ def test_primes_up_to_at_the_window_seams():
     assert all(_is_prime(isqrt(q)) for q in squares)
     assert w < squares[0] < 2 * w < squares[1]
     limits = [2, 3, 4, w - 1, w, w + 1, 2 * w + 1] + squares + [q - 1 for q in squares]
+    # the base primes come from primes_up_to(isqrt(n)), none below n = 4:
+    # the edges of that recursion, where a level gains a base prime, and
+    # n around 2**16 = (2**8)**2, whose isqrt is itself a square
+    limits += [8, 9, 24, 25, 48, 49, 2**16 - 1, 2**16, 2**16 + 1]
     reference = _byte_sieve(max(limits))
     for n in limits:
         _check_primes_up_to(n, reference)

@@ -224,6 +224,11 @@ def _progressions(draw):
 @example(case=(3, -1, 1000, 1, 1))  # p = 2 is in the class, at r = 1
 # r near 10**5: windows below r = 26843 are counted, those above factored
 @example(case=(3, 1, 3 * 10**5, 1 << 12, 2))
+# a far above 2: the class is swept from r = 1, p = a + m, on
+@example(case=(3, 999001, 10**6 + 3 * 10**4, 1 << 20, 2))
+@example(case=(7, 10**6 + 3, 10**6 + 7 * 10**4, 1 << 12, 2))
+@example(case=(10, 654321, 800000, 97, 1))
+@example(case=(1, 5 * 10**5, 6 * 10**5, 1 << 20, 2))
 def test_class_sweep_matches_the_line(case):
     m, a, x, width, workers = case
     got = felix_partial_sum(m, a, x, segment_width=width, workers=workers).t_sum
@@ -252,6 +257,30 @@ def test_class_sweep_takes_both_sides_of_the_count_rule(monkeypatch):
 ])
 def test_empty_class_sums_to_zero(m, a, x):
     assert felix_partial_sum(m, a, x).t_sum == 0
+
+
+def _sweeps(monkeypatch):
+    # the range [lo, hi) of each sweep of the sums
+    calls = []
+    sweep = titchmarsh.sums.iter_segments
+
+    def counted(lo, hi, *args, **kwargs):
+        calls.append((lo, hi))
+        return sweep(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(titchmarsh.sums, "iter_segments", counted)
+    return calls
+
+
+def test_felix_sweeps_its_class_from_r_1(monkeypatch):
+    # p = c + m*t with t = r + k, so r >= 1 starts at t = k + 1; at a far
+    # from 2 no segment lies between p = 2 and p = a
+    calls = _sweeps(monkeypatch)
+    m, a, x = 3, 999999001, 1001000000
+    c = -(-a % m)
+    k = (a - c) // m
+    assert felix_partial_sum(m, a, x).t_sum == 479965
+    assert calls == [(k + 1, (x - c) // m + 1)]
 
 
 def test_felix_matches_the_split_columns():
@@ -366,14 +395,7 @@ def test_decompose_counts_primes_dividing_a(a):
     (lambda x: felix_partial_sum(3, 1, x), (2, 3335)),
 ], ids=["decompose", "felix"])
 def test_one_sweep_of_the_primes(monkeypatch, run, span):
-    calls = []
-    sweep = titchmarsh.sums.iter_segments
-
-    def counted(lo, hi, *args, **kwargs):
-        calls.append((lo, hi))
-        return sweep(lo, hi, *args, **kwargs)
-
-    monkeypatch.setattr(titchmarsh.sums, "iter_segments", counted)
+    calls = _sweeps(monkeypatch)
     run(10**4)
     assert calls == [span]
 
@@ -574,6 +596,50 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
         [counted] = sums._divisor_counts(qs, cs, np.zeros_like(qs), 1, lo, top, n).tolist()
         assert got == want == counted, (kind.label, lo, top)
     assert picked == ["_divisor_counts", "_factor_part"]
+
+
+def _stub_routes(monkeypatch):
+    # record the route each window takes and sum nothing: the rule reads
+    # only the window and its moduli, never the sums
+    sums = titchmarsh.sums
+    routes = []
+
+    def counted(qs, cs, cols, ncols, lo, hi, n):
+        routes.append("count")
+        return np.zeros(ncols, dtype=np.int64)
+
+    def factored(kind, base, lo, hi, n):
+        routes.append("factor")
+        return 0
+
+    monkeypatch.setattr(sums, "_divisor_counts", counted)
+    monkeypatch.setattr(sums, "_factor_part", factored)
+    return routes
+
+
+_CHECKPOINTS = [10**4, 10**5, 10**6, 10**7]
+
+
+@pytest.mark.parametrize("run,want", [
+    # the benchmark's tracking sums, in 13 windows: 10 on the 2**20 grid,
+    # 3 more from the cuts; every one counted for d, and for dk2 all but
+    # the 48575 integers from the cut at 10**6 to the grid, too narrow
+    # for their pairs
+    (lambda: shifted_prime_sum(DIVISOR, 1, 10**7, _CHECKPOINTS, workers=1), ["count"] * 13),
+    (lambda: shifted_prime_sum(k_free_divisor(2), 1, 10**7, _CHECKPOINTS, workers=1),
+     ["count"] * 3 + ["factor"] + ["count"] * 9),
+    # its split workload's T_m, over r <= (10**7 - 1) / m: all counted
+    (lambda: felix_partial_sum(2, 1, 10**7, workers=1), ["count"] * 5),
+    (lambda: felix_partial_sum(3, 1, 10**7, workers=1), ["count"] * 4),
+    (lambda: felix_partial_sum(5, 1, 10**7, workers=1), ["count"] * 2),
+    # its high_shift d sum: both windows near 2**39 factored
+    (lambda: shifted_prime_sum(DIVISOR, -(2**39), 2 * 10**6, [2 * 10**6], workers=1),
+     ["factor"] * 2),
+], ids=["d", "dk2", "felix2", "felix3", "felix5", "high_shift_d"])
+def test_the_benchmark_sums_take_their_measured_routes(monkeypatch, run, want):
+    routes = _stub_routes(monkeypatch)
+    run()
+    assert routes == want
 
 
 def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):
