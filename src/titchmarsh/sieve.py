@@ -81,13 +81,7 @@ def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
     MAX_SEGMENTS widths."""
     if not lo < hi:
         raise ValueError("empty range")
-    if not 1 <= width <= DEFAULT_SEGMENT_WIDTH:
-        raise ValueError(f"segment width must lie in [1, {DEFAULT_SEGMENT_WIDTH}], got {width}")
-    if hi - lo > MAX_SEGMENTS * width:
-        raise ValueError(
-            f"segment width {width} is too narrow for [{lo}, {hi}): "
-            f"the range spans more than {MAX_SEGMENTS} segments"
-        )
+    _check_width(width, lo, hi, width)
     bounds = {lo, hi}
     g = (lo // width + 1) * width
     while g < hi:
@@ -98,6 +92,19 @@ def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
             bounds.add(int(c))
     edges = sorted(bounds)
     return [Segment(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _check_width(width, lo, hi, grid):
+    # a segment width outside [1, DEFAULT_SEGMENT_WIDTH] is refused, and so
+    # is one whose grid, ``grid`` values wide, cuts [lo, hi) into more than
+    # MAX_SEGMENTS segments; the message names ``width``, the caller's
+    if not 1 <= width <= DEFAULT_SEGMENT_WIDTH:
+        raise ValueError(f"segment width must lie in [1, {DEFAULT_SEGMENT_WIDTH}], got {width}")
+    if hi - lo > MAX_SEGMENTS * grid:
+        raise ValueError(
+            f"segment width {width} is too narrow for [{lo}, {hi}): "
+            f"the range spans more than {MAX_SEGMENTS} segments"
+        )
 
 
 def _check_window(seg, base, min_lo):

@@ -4,10 +4,12 @@ Every driver is one sweep in segments (``_sweep``): a primality bitmap
 on the prime side yields the eligible n, each sum's part reads the
 segment's columns off the n-window, and the sweep sums the columns up
 to each cut.  The sums and ``decompose`` sweep the line [2, x], n = p -
-a.  ``felix`` sweeps only the class p = a (mod m): the bitmap runs
-over t, p = c + m*t, each base prime striking its one root class, so a
-window holds m times the primes of a line window and n = (p - a) / m
-is the r of d(r) itself.  Segment jobs run on a thread pool (numpy
+a.  ``felix`` sweeps only the class p = a (mod m), n = (p - a) / m the
+r of d(r) itself.  Every sweep strikes odd p only: its bitmap runs over
+t, p = c + M*t, M = lcm(m, 2), each base prime striking its one root
+class, so a window holds M times the primes of a line window at the
+cost of one, and p = 2 is read apart, once (``_Class``).  Segment jobs
+run on a thread pool (numpy
 releases the GIL inside its array operations) and are reduced strictly
 in segment order, which together with exact integer accumulation makes
 every sum bit-identical across segment widths and worker counts.
@@ -22,7 +24,9 @@ the bitmap are merged first, their weights summed, so each distinct
 view is read once and a view whose weights cancel is not read at all
 (for dk2 the weights mu(j) of the pairs at a stride s sum to mu(s)**2
 where they share a start, so the views at a stride that is not
-squarefree cancel).  Counted this way:
+squarefree cancel).  The n of an odd class all have one parity, but
+for p = 2 in the first window, so the bitmap holds only that parity,
+half the window.  Counted this way:
 
 - ``decompose``: each S1 modulus q = m in a column of its own, weight
   1, and S2 in one column shared by q = j**k, weight mu(j), over the
@@ -69,7 +73,7 @@ from .functions import (
     pillai_range,
     value_range,
 )
-from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, iter_segments, primes_up_to
+from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, _check_width, iter_segments, primes_up_to
 
 _SUM_KINDS = {"d", "dk", "unitary", "pillai"}
 
@@ -77,15 +81,22 @@ _MAX_WORKERS = 256  # a pool may start a thread per worker, each holding a windo
 
 
 def _resolve_workers(workers):
+    # an explicit count, else TITCHMARSH_WORKERS by the same rule, else
+    # one worker per core; a refusal names where the count came from
+    source = ""
     if workers is None:
         env = os.environ.get("TITCHMARSH_WORKERS", "").strip()
-        w = max(1, int(env)) if env else min(os.cpu_count() or 1, _MAX_WORKERS)
-    else:
+        if not env:
+            return min(os.cpu_count() or 1, _MAX_WORKERS)
+        workers, source = env, f" (TITCHMARSH_WORKERS={env!r})"
+    try:
         w = int(workers)
-        if w < 1:
-            raise ValueError("workers must be >= 1")
+    except ValueError:
+        raise ValueError(f"workers must be an integer, got {workers!r}{source}") from None
+    if w < 1:
+        raise ValueError(f"workers must be >= 1{source}")
     if w > _MAX_WORKERS:
-        raise ValueError(f"workers must be <= {_MAX_WORKERS}")
+        raise ValueError(f"workers must be <= {_MAX_WORKERS}{source}")
     return w
 
 
@@ -161,39 +172,53 @@ def _main_constant(tag, k, a):
 
 @dataclass(frozen=True)
 class _Class:
-    """The primes p = a (mod m) of a sweep, gcd(a, m) = 1, written p = c +
-    m*t with c = a - m*ceil(a/m) in (-m, 0], so that every p >= 2 has t
-    >= 1; on the line, m = 1, t is p itself.  ``primes`` are the base
-    primes up to isqrt(x) that do not divide m, and ``first`` the t from
-    which each strikes the class (``_kernels._primality``)."""
+    """The odd primes p = a (mod m) of a sweep, gcd(a, m) = 1: the class p
+    = b (mod M), M = lcm(m, 2), with b = a for odd a and b = a + m for
+    even a (m is then odd), written p = c + M*t with c = b -
+    M*ceil(b/M) in (-M, 0], so that every p >= 2 of the class has t >=
+    1; on the line, m = 1, the odd p = 2t - 1.  ``primes`` are the base
+    primes up to isqrt(x) that do not divide M, ``first`` the t from
+    which each strikes the class (``_kernels._primality``), and
+    ``start`` the t of the first p >= max(3, least) swept.  p = 2 is in
+    no odd class; ``two`` says whether the sweep reads it, in front of
+    the window from ``start``: when 2 = a (mod m) and least <= 2 <=
+    x."""
 
     m: int
     c: int
     primes: np.ndarray
     first: np.ndarray
+    start: int
+    two: bool
 
 
-def _class_sieve(a, m, x, base):
-    # the roots t = -c/m (mod l) of l | c + m*t, with 1/m = m**(l - 2)
+def _class_sieve(a, m, x, base, least):
+    # the roots t = -c/M (mod l) of l | c + M*t, with 1/M = M**(l - 2)
     # (mod l) by Fermat, for every l at once (l < 2**21, so no product
-    # overflows), each from the least t with c + m*t >= l*l on
-    c = -(-a % m)
+    # overflows), each from the least t with c + M*t >= l*l on
+    big = m * (1 + m % 2)
+    c = -(-(a if a % 2 else a + m) % big)
     primes = base[: np.searchsorted(base, isqrt(x), side="right")]
-    primes = primes[m % primes != 0]
-    inv, b, e = np.ones_like(primes), m % primes, primes - 2
+    primes = primes[big % primes != 0]
+    inv, b, e = np.ones_like(primes), big % primes, primes - 2
     while e.any():
         inv = np.where(e & 1, inv * b % primes, inv)
         b = b * b % primes
         e >>= 1
     root = -c % primes * inv % primes
-    low = -((c - primes * primes) // m)
-    return _Class(m, c, primes, low + (root - low) % primes)
+    low = -((c - primes * primes) // big)
+    start = -((c - max(3, least)) // big)
+    two = least <= 2 <= x and (2 - a) % m == 0
+    return _Class(big, c, primes, low + (root - low) % primes, start, two)
 
 
 def _eligible_primes(seg, cls, a):
-    # the primes p = c + m*t of the class over the t of the segment
+    # the primes p = c + M*t of the class over the t of the segment, with
+    # p = 2 in front of the sweep's first segment when the sweep reads it
     t = np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first))
     p = cls.c + cls.m * (t + seg.lo)
+    if cls.two and seg.lo == cls.start:
+        p = np.concatenate(([2], p))
     if a > 0:
         keep = p > a
         return p[keep], int(p.size - keep.sum())
@@ -203,32 +228,44 @@ def _eligible_primes(seg, cls, a):
 def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
     """{c: (skipped primes, column sums)} over the primes p <= c of the
     class p = a (mod m), for each c in cuts and for x, from one pass
-    over the class in segments of t (``_Class``), from the first p >=
-    max(2, least) on: on the line, m = 1, with least = 2 the pass is
-    over [2, x].  A sum that reads no skipped primes passes least = a +
-    1, its first p > a.
+    over its odd primes in segments of t (``_Class``), from the first p
+    >= max(3, least) on, with p = 2 read once when least <= 2 and 2 = a
+    (mod m): on the line, m = 1, with least = 2 the pass is over [2, x].
+    A sum that reads no skipped primes passes least = a + 1, its first
+    p > a.
 
+    The odd class has modulus M = lcm(m, 2), so n = (p - a) / m = g*t -
+    k, with g = M / m in {1, 2} and k = (a - c) / m.  A segment is
+    ceil(segment_width / g) values of t wide, about segment_width
+    integers p, and a refused width is named as the caller gave it.
     ``part(base, lo, hi, n)`` returns one segment's columns, a list of
-    exact ints: n = (p - a) / m over the segment's primes p > a,
-    ascending, in the n-window [lo, hi) = [max(1, seg.lo - k), seg.hi -
-    k), k = (a - c) / m, and base the primes up to the square root of
-    the largest n or p.  Columns are summed in segment order; a class
-    with no p in [2, x] has the columns of a window with no n."""
+    exact ints: n over the segment's primes p > a, ascending, in the
+    n-window [lo, hi) = [max(1, g*seg.lo - k), g*(seg.hi - 1) - k + 1),
+    which the first window widens down to the n of p = 2, and base the
+    primes up to the square root of the largest n or p.  Columns are
+    summed in segment order; a class with no odd p in [3, x] has the
+    columns of a window holding at most the n of p = 2."""
     workers = _resolve_workers(workers)
     base = primes_up_to(max(2, isqrt(max(x, x - a, 4))))
-    cls = _class_sieve(a, m, x, base.primes)
-    k = (a - cls.c) // m
-    ends = {cut: (cut - cls.c) // m + 1 for cut in (*cuts, x)}
-    first = -((cls.c - max(2, least)) // m)
-    if first >= ends[x]:
-        zero = part(base, 1, 1, np.zeros(0, dtype=np.int64))
-        return {cut: (0, zero) for cut in ends}
+    cls = _class_sieve(a, m, x, base.primes, least)
+    g, k = cls.m // m, (a - cls.c) // m
+    ends = {cut: (cut - cls.c) // cls.m + 1 for cut in (*cuts, x)}
+    if cls.start >= ends[x]:
+        # no odd p of the class up to x: p = 2 alone, or no p at all
+        n = np.array([(2 - a) // m] if cls.two and a < 2 else [], dtype=np.int64)
+        lo = int(n[0]) if n.size else 1
+        cols = part(base, lo, lo + n.size, n)
+        return {cut: (int(cls.two and a >= 2), cols) for cut in ends}
     stops = set(ends.values())
-    segs = iter_segments(first, ends[x], segment_width, cuts=stops)
+    width = -(-segment_width // g)
+    _check_width(segment_width, cls.start, ends[x], width)
+    segs = iter_segments(cls.start, ends[x], width, cuts=stops)
 
     def job(seg):
         p, nskip = _eligible_primes(seg, cls, a)
-        return seg.hi, nskip, part(base, max(1, seg.lo - k), seg.hi - k, (p - a) // m)
+        n = (p - a) // m
+        lo = min([max(1, g * seg.lo - k), *n[:1].tolist()])  # p = 2 is below
+        return seg.hi, nskip, part(base, lo, g * (seg.hi - 1) - k + 1, n)
 
     rows, skipped, acc = {}, 0, None
     for hi, nskip, cols in _run_ordered(segs, job, workers):
@@ -275,23 +312,47 @@ def _start(s, e, lo):
     return np.maximum(s * e, -(-lo // s) * s)
 
 
-def _views(qs, cs, cols, ncols, lo, hi):
-    """The strided views the count reads in the window [lo, hi): the pairs
-    (q, e) with stride s = q*e below 1/STRIDE_RATIO of the width, each
-    counting the n = 0 (mod s) from its start t on, merged by (column, s,
-    t) with their weights summed; the keys whose weights cancel are
-    dropped.  Returns (offs, steps), the distinct views hit[offs::steps],
-    and (view, col, w): each surviving key's view, column and weight."""
+def _parity(n):
+    # (pi, g): the bitmap of the count holds r = (n - pi) / g, over half
+    # the integers when every n has the parity pi, over all of them (g =
+    # 1, pi = 0) when the n have both
+    odd = np.count_nonzero(n & 1)
+    return (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
+
+
+def _on_bitmap(s, start, pi, g):
+    # the n = 0 (mod s) from start on as r = (n - pi) / g: the first r and
+    # the stride in r.  For g = 2 an odd s keeps its stride, with 2r + pi
+    # = 0 (mod s) at r = -pi * (s + 1) / 2; an even s has stride s / 2 in
+    # the even n and no odd n, so it counts only where s & 1 >= pi
+    step = np.where(s & 1, s, s // g)
+    r = -((pi - start) // g)
+    return r + (-pi * ((s + 1) // 2) - r) % step, step, (s & 1) >= pi
+
+
+def _views(qs, cs, cols, ncols, lo, hi, pi, g):
+    """The strided views the count reads in the window [lo, hi), whose n
+    stand on the bitmap at r = (n - pi) / g (``_parity``): the pairs (q,
+    e) with stride s = q*e below 1/STRIDE_RATIO of the width, each
+    counting the n = 0 (mod s) from its start on, as the r from t on at
+    a stride u (``_on_bitmap``), merged by (column, u, t) with their
+    weights summed; the keys whose weights cancel, and the views that
+    miss the bitmap, are dropped.  Returns (offs, steps), the distinct
+    views hit[offs::steps], and (view, col, w): each surviving key's
+    view, column and weight."""
     width = hi - lo
+    rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
     qs, ecount = _pairs(qs, hi)
     last = np.minimum(ecount, (width // _kernels.STRIDE_RATIO - 1) // qs)
     keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for which, s, e in _pair_runs(qs, np.ones_like(qs), last):
-        # the key of (column, s, t) is below width**2 / STRIDE_RATIO *
+        t, u, on = _on_bitmap(s, _start(s, e, lo), pi, g)
+        on &= t < rhi
+        # the key of (column, u, t) is below width**2 / STRIDE_RATIO *
         # ncols: under 2**55 for the sweep's widths (at most 2**20) and
         # numbers of moduli (under 2**21)
-        keys.append((s * width + _start(s, e, lo) - lo) * ncols + cols[which])
-        weights.append(cs[which])
+        keys.append((u[on] * width + t[on] - rlo) * ncols + cols[which[on]])
+        weights.append(cs[which[on]])
     key, inv = np.unique(np.concatenate(keys), return_inverse=True)
     w = np.zeros(key.size, dtype=np.int64)
     np.add.at(w, inv, np.concatenate(weights))
@@ -307,33 +368,42 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
 
     d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
-    less the n = q*e*e itself.  Strides below 1/STRIDE_RATIO of the
-    width are strided views of the bitmap, each distinct view read once
-    for all the pairs that share it (``_views``); the longer strides are
-    expanded in batches, pair by pair.  No integer of the window is
-    factored."""
+    less the n = q*e*e itself.  When every n has one parity, as the n =
+    (p - a) / m of an odd class do, the bitmap holds only the integers
+    of that parity, half the window (``_parity``, ``_on_bitmap``).
+    Strides below 1/STRIDE_RATIO of the width are strided views of the
+    bitmap, each distinct view read once for all the pairs that share it
+    (``_views``); the longer strides are expanded in batches, pair by
+    pair.  No integer of the window is factored."""
     out = np.zeros(ncols, dtype=np.int64)
     if n.size == 0:
         return out
     width = hi - lo
-    hit = np.zeros(width, dtype=np.bool_)
-    hit[n - lo] = True
-    (offs, steps), (view, col, w) = _views(qs, cs, cols, ncols, lo, hi)
+    pi, g = _parity(n)
+    rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
+    hit = np.zeros(rhi - rlo, dtype=np.bool_)
+    hit[(n - pi) // g - rlo] = True
+    (offs, steps), (view, col, w) = _views(qs, cs, cols, ncols, lo, hi, pi, g)
     got = [np.count_nonzero(hit[o::st]) for o, st in zip(offs.tolist(), steps.tolist())]
     np.add.at(out, col, 2 * w * np.array(got, dtype=np.int64)[view])
     qs, ecount = _pairs(qs, hi)
     per_q = np.zeros(qs.size, dtype=np.int64)
-    # the squares q*e*e >= lo, once each
+    # the squares q*e*e >= lo of the parity of the n, once each
     for which, s, e in _pair_runs(qs, _isqrt_array((lo - 1) // qs) + 1, ecount):
-        _tally(per_q, which[hit[s * e - lo]], -1)
+        sq = s * e - pi
+        on = sq % g == 0
+        _tally(per_q, which[on][hit[sq[on] // g - rlo]], -1)
     # the strides from 1/STRIDE_RATIO of the width on, expanded
     first = np.maximum(0, (width // _kernels.STRIDE_RATIO - 1) // qs) + 1
     for which, s, e in _pair_runs(qs, first, ecount):
-        t = _start(s, e, lo)
-        count = (hi - 1 - t) // s + 1
-        big = count > 0
+        start = _start(s, e, lo)
+        near = start < hi
+        which, s = which[near], s[near]
+        t, u, on = _on_bitmap(s, start[near], pi, g)
+        count = (rhi - 1 - t) // u + 1
+        big = on & (count > 0)
         wbig = which[big]
-        for j, idx in _kernels.progressions(t[big] - lo, s[big], count[big]):
+        for j, idx in _kernels.progressions(t[big] - rlo, u[big], count[big]):
             _tally(per_q, wbig[j[hit[idx]]], 2)
     np.add.at(out, cols[: qs.size], cs[: qs.size] * per_q)
     return out
@@ -354,23 +424,25 @@ def _divisor_weights(kind, nmax):
 
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk, whose pairs
-# with short strides share views (``_views``): dk2 reads 0.38 views per
-# pair near 10**6, 0.24 near 10**7.  The factor route strikes only the
-# eligible n, so it costs nearly the same in every 2**20 window, 15-25
-# ms from 10**6 to 10**10.  Count over factor time per 2**20 window,
-# against pairs / width (tools/window_times.py, one thread,
-# BENCH_14.json): d 0.75 at 0.0044 (near 2*10**7), 0.99 at 0.0096
-# (10**8); dk2 0.68 at 0.0089 (2*10**6), 0.70 at 0.013 (5*10**6), 1.08
-# at 0.026 (2*10**7), 1.43 at 0.061 (10**8); farther out, d 1.63 at
-# 0.017 (3*10**8), 1.93 at 0.030 (10**9), 4.99 at 0.095 (10**10)
-# (BENCH_12.json).  The two cross near 0.01 pairs per integer for d and
-# 0.02 for dk2, which would make the reach 50-100; at 100, tracking's
-# dk2 windows above about 3.5*10**6 were factored, its wall time fell
-# but its peak memory rose by 3.5 MB (BENCH_12.json), so the reach
-# stays at 25: a window is counted when it is at least _COUNT_REACH
-# times as wide as its pairs.  The count stays: factoring every window
-# instead made the split workload 42% slower in wall time (felix loses
-# its count) and raised its peak memory 6% (2 vCPUs, 4 of 4 pairs).
+# with short strides share views (``_views``): on the half-width bitmap
+# of an odd class dk2 reads 0.28 views per pair near 2*10**6, 0.19 near
+# 10**7.  The factor route strikes only the eligible n, so it costs
+# nearly the same in every 2**20 window, 12-24 ms from 10**6 to 10**10.
+# Count over factor time per 2**20 window of p, against pairs / width
+# (tools/window_times.py, one thread, the median of three runs,
+# BENCH_17.json): d 0.29 at 0.0017 (near 2*10**6), 0.36 at 0.0032
+# (10**7), 0.49 at 0.0044 (2*10**7), 0.59 at 0.0096 (10**8), 1.08 at
+# 0.017 (3*10**8), 1.59 at 0.030 (10**9), 2.55 at 0.095 (10**10); dk2
+# 0.36 at 0.0089 (2*10**6), 0.48 at 0.013 (5*10**6), 0.73 at 0.026
+# (2*10**7), 1.22 at 0.061 (10**8), 1.90 at 0.11 (3*10**8).  The two
+# cross near 0.015 pairs per integer for d and 0.04 for dk2, which
+# would make the reach 25-65.  At 100, tracking's dk2 windows above
+# about 3.5*10**6 were factored, its wall time fell but its peak memory
+# rose by 3.5 MB (BENCH_12.json), so the reach stays at 25: a window is
+# counted when it is at least _COUNT_REACH times as wide as its pairs.
+# The count stays: factoring every window instead made the split
+# workload 42% slower in wall time (felix loses its count) and raised
+# its peak memory 6% (2 vCPUs, 4 of 4 pairs).
 _COUNT_REACH = 25
 
 

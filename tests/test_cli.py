@@ -486,6 +486,18 @@ def test_workers_above_the_ceiling_are_a_domain_error(capsys, monkeypatch):
     assert "workers" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("env", ["abc", "0", "-5", "1.5"])
+def test_workers_from_the_environment_follow_the_flag_rule(capsys, monkeypatch, env):
+    # TITCHMARSH_WORKERS is refused where --workers would be, by name
+    monkeypatch.setenv("TITCHMARSH_WORKERS", env)
+    code, out = _run(capsys, ["sum", "--fn", "d", "--x", "1000", "--format", "json"])
+    assert code == 2
+    assert f"TITCHMARSH_WORKERS={env!r}" in json.loads(out)["error"]
+    monkeypatch.setenv("TITCHMARSH_WORKERS", " 2 ")
+    code, out = _run(capsys, ["sum", "--fn", "d", "--x", "1000", "--format", "json"])
+    assert code == 0
+
+
 def test_verify_reports_seconds_per_check(capsys, monkeypatch):
     monkeypatch.setattr(cli.verify_mod, "run",
                         lambda level: (CheckResult("forced", True, "fine", 1.25),))

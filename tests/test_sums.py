@@ -84,6 +84,18 @@ def test_matches_direct_sum_at_1e5():
             assert rec.skipped_primes == skipped
 
 
+@pytest.mark.parametrize("width", [1, 2, 64])
+@pytest.mark.parametrize("a", [1, -1, 2, 3, -2, 4])
+def test_p_2_is_read_once_beside_the_odd_class(a, width):
+    # the sweep strikes only odd p and reads p = 2 apart: as n = 2 - a in
+    # front of the first window when 2 > a, else as a skipped prime
+    cps = [3, 4, 5, 10, 100, 2000]
+    for kind in (DIVISOR, k_free_divisor(2)):
+        recs = shifted_prime_sum(kind, a, 2000, cps, segment_width=width, workers=2)
+        for r in recs:
+            assert (r.sum, r.skipped_primes) == _direct_sum(kind, a, r.x), (kind.tag, r.x)
+
+
 def test_pillai_sum_is_exact_fixed_point():
     # every term contributes floor(num 2^64 / den); the report divides once
     acc = 0
@@ -160,6 +172,8 @@ def test_felix_hand_anchors():
     assert felix_partial_sum(2, 1, 20).t_sum == 18
     assert felix_partial_sum(1, 1, 20).t_sum == 31
     assert felix_partial_sum(4, 3, 20).t_sum == 6
+    # p = 2 alone: the odd class p = 5 (mod 6) has no p <= 4
+    assert felix_partial_sum(3, -1, 4).t_sum == 1
 
 
 def test_felix_predicted_value():
@@ -222,6 +236,13 @@ def _progressions(draw):
 @example(case=(60, 7, 3 * 10**5, 1 << 12, 1))  # even m, odd a
 @example(case=(59, -2, 3000, 7, 2))  # m above isqrt(x)
 @example(case=(3, -1, 1000, 1, 1))  # p = 2 is in the class, at r = 1
+# p = 2 is in the class mod m but in no odd class mod 2m: read once, in
+# front of the first window, or alone when no odd p of the class is <= x
+@example(case=(3, -1, 4, 1, 2))
+@example(case=(3, -1, 10**4, 1 << 20, 2))
+@example(case=(5, -3, 7, 2, 1))
+@example(case=(5, -3, 10**4, 64, 2))
+@example(case=(5, -3, 3000, 1, 2))
 # r near 10**5: windows below r = 26843 are counted, those above factored
 @example(case=(3, 1, 3 * 10**5, 1 << 12, 2))
 # a far above 2: the class is swept from r = 1, p = a + m, on
@@ -273,14 +294,14 @@ def _sweeps(monkeypatch):
 
 
 def test_felix_sweeps_its_class_from_r_1(monkeypatch):
-    # p = c + m*t with t = r + k, so r >= 1 starts at t = k + 1; at a far
+    # the odd p = a (mod 3) are p = c + 6t, so the first p > a, p = a + 6
+    # (r = 2; r = 1 is the even p = a + 3), starts the sweep; at a far
     # from 2 no segment lies between p = 2 and p = a
     calls = _sweeps(monkeypatch)
     m, a, x = 3, 999999001, 1001000000
-    c = -(-a % m)
-    k = (a - c) // m
+    c = -(-a % (2 * m))
     assert felix_partial_sum(m, a, x).t_sum == 479965
-    assert calls == [(k + 1, (x - c) // m + 1)]
+    assert calls == [((a + 6 - c) // (2 * m), (x - c) // (2 * m) + 1)]
 
 
 def test_felix_matches_the_split_columns():
@@ -390,9 +411,11 @@ def test_decompose_counts_primes_dividing_a(a):
 
 
 @pytest.mark.parametrize("run,span", [
-    (lambda x: decompose_s1_s2(2, 1, x), (2, 10**4 + 1)),
-    # the class p = 1 + 3r, r in [1, 3333], swept as p = -2 + 3t, t = r + 1
-    (lambda x: felix_partial_sum(3, 1, x), (2, 3335)),
+    # the odd p in [3, 10**4], swept as p = 2t - 1, t in [2, 5000]
+    (lambda x: decompose_s1_s2(2, 1, x), (2, 5001)),
+    # the odd p of the class p = 1 + 3r, r in [2, 3332], swept as p =
+    # -5 + 6t, t = r / 2 + 1 in [2, 1667]
+    (lambda x: felix_partial_sum(3, 1, x), (2, 1668)),
 ], ids=["decompose", "felix"])
 def test_one_sweep_of_the_primes(monkeypatch, run, span):
     calls = _sweeps(monkeypatch)
@@ -516,12 +539,17 @@ def _signed_powers(js, k):
     m=st.integers(2, 5000),
     js=st.lists(st.integers(1, 60), min_size=1, max_size=8),
     k=st.integers(2, 4),
+    parity=st.sampled_from([None, 0, 1]),
 )
-def test_divisor_count_matches_factoring(lo, width, density, seed, m, js, k):
+def test_divisor_count_matches_factoring(lo, width, density, seed, m, js, k, parity):
+    # with parity 0 or 1 every n has it, and the count runs on the bitmap
+    # of that parity alone
     hi = lo + width
     rng = np.random.default_rng(seed)
     n = np.arange(lo, hi, dtype=np.int64)
     n = n[rng.random(width) < density]
+    if parity is not None:
+        n = n[n % 2 == parity]
     _check_count([1], [1], lo, hi, n)
     _check_count([m], [1], lo, hi, n)
     _check_count(*_signed_powers(js, k), lo, hi, n)
@@ -535,6 +563,13 @@ def test_divisor_count_matches_factoring(lo, width, density, seed, m, js, k):
     (2**40 - 2**21, 2**40 - 2**21 + 2**20 + 1, [(2**20 - 1) ** 2, 2**40 - 2**21 + 2**20]),
     (3 * 25, 3 * 25 + 1, [3 * 25]),  # n = q * e * e exactly, q = 3, e = 5
     (7 * 41**2 - 3, 7 * 41**2 + 4, [7 * 41**2 - 3, 7 * 41**2, 7 * 41**2 + 3]),
+    # one parity: the half-width bitmap
+    (1, 64, range(1, 64, 2)),  # every odd n, lo = 1
+    (1, 64, range(2, 64, 2)),  # every even n, lo odd
+    (2, 3, [2]),  # n = 2 alone
+    (999**2 - 300, 999**2 + 1, range(999**2 - 300, 999**2 + 1, 2)),  # odd square at hi - 1
+    (10**6, 10**6 + 301, range(10**6, 10**6 + 301, 2)),  # even square at lo
+    (2**40 - 2**21, 2**40 - 2**21 + 2**20 + 1, [(2**20 - 1) ** 2, 2**40 - 2**21 + 2**20 - 1]),
 ])
 def test_divisor_count_edges(lo, hi, n):
     n = np.array(sorted(n), dtype=np.int64)
@@ -555,7 +590,7 @@ def test_divisor_count_merges_one_stride_by_its_start(e):
     qs, cols = np.array([1, 4]), np.zeros(2, dtype=np.int64)
     for lo, views in ((4 * e * e + 1, 2), (16 * e * e, 0)):
         hi = lo + 64 * (4 * e + 1) + 3  # s = 4e is below 1/64 of the width
-        (_, steps), _ = titchmarsh.sums._views(qs, np.array([1, -1]), cols, 1, lo, hi)
+        (_, steps), _ = titchmarsh.sums._views(qs, np.array([1, -1]), cols, 1, lo, hi, 0, 1)
         assert (steps == 4 * e).sum() == views
         n = np.arange(lo, hi, dtype=np.int64)
         for dense in (n, n[n % 3 != 1]):
@@ -655,7 +690,8 @@ def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):
 
     monkeypatch.setattr(_kernels.ACTIVE, "kfree", counted)
     rep = decompose_s1_s2(2, 1, 10**5)
-    assert calls and calls[0][0] == 1 and calls[-1][1] == 10**5
+    # the last window ends at n = 99998, the n of the last odd p <= 10**5
+    assert calls and calls[0][0] == 1 and calls[-1][1] == 10**5 - 1
     calls.clear()
     ref = shifted_prime_sum(k_free_divisor(2), 1, 10**5, [10**5])[-1].sum
     assert calls == []

@@ -6,18 +6,21 @@ Usage:
 
 Each point P:A is one window of the primes, [P, P + W), and its shift a;
 the sums read n = p - a for the primes p > a there, so the n-window is
-[max(1, P - a), P + W - a).  The default points are 10^7:1 (the top
+[max(1, P - a), P + W - a).  The sums sweep the odd p = 2t - 1 of the
+window, W/2 values of t, and read p = 2 apart (``sums._Class``); so
+does every row here.  The default points are 10^7:1 (the top
 window of felix's T_m to 10^7), 10^8:1 (n near 10^8) and 2:-2^39 (n
 near 2^39, the first window of a sum with a = -2^39).  Numbers may be
 written 123, 3e8 or 2^39.
 
 Rows, each the median of N runs (default 5) on one thread:
   eligible n         the number of n = p - a the sums read
-  primality bitmap   ms for the primality kernel over the prime window
+  primality bitmap   ms for the primality kernel over the odd p of the
+                     prime window, W/2 values of t
   d / dk2 counted    ms for the hyperbola count (sums._divisor_counts)
   felix line         ms for T_2 counted on the line, where decompose's
-                     per_m columns count it: the primality bitmap of the
-                     window and the count with q = 2 (odd a only)
+                     per_m columns count it: the bitmap of the odd p of
+                     the window and the count with q = 2 (odd a only)
   felix class        ms for one window of felix's T_2 sweep over the class
                      p = a (mod 2), the primes from P on: the class bitmap
                      over W values of t = (p - c) / 2, twice the primes of
@@ -56,6 +59,7 @@ from titchmarsh.sums import (
     _eligible_primes,
     _factor_part,
     _pairs,
+    _parity,
     _value_part,
     _views,
 )
@@ -88,20 +92,27 @@ def _ms(call, runs):
     return statistics.median(times)
 
 
+def _odd_window(plo, phi, a, base):
+    # the line's odd class over the p in [plo, phi), as the sums sweep it:
+    # (segment of t, class), p = 2 read in front when plo <= 2
+    cls = _class_sieve(a, 1, phi - 1, base, plo)
+    return Segment(cls.start, -((cls.c - phi) // 2)), cls
+
+
 def _felix_rows(plo, a, width, runs):
     # T_2 over the primes from plo on: one line window and one class window
     phi = plo + width
     base = primes_up_to(max(2, isqrt(max(phi + width, phi + width - a))))
     q, one = np.full(1, 2), np.ones(1, dtype=np.int64)
     col = np.zeros(1, dtype=np.int64)
+    odd = _odd_window(plo, phi, a, base.primes)
 
     def line():
-        p = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base.primes)) + plo
-        n = p[p > a] - a
-        return _divisor_counts(q, one, col, 1, max(1, plo - a), phi - a, n)
+        p, _ = _eligible_primes(*odd, a)
+        return _divisor_counts(q, one, col, 1, max(1, plo - a), phi - a, p - a)
 
     # the sweep's coordinates: p = c + 2t, r = t - k
-    cls = _class_sieve(a, 2, phi + width, base.primes)
+    cls = _class_sieve(a, 2, phi + width, base.primes, plo)
     k, t = (a - cls.c) // 2, -((cls.c - plo) // 2)
     seg = Segment(t, t + width)
     part = _value_part(DIVISOR, seg.hi - 1 - k)
@@ -118,14 +129,17 @@ def window_rows(plo, a, width, runs):
     phi = plo + width
     lo, hi = max(1, plo - a), phi - a
     base = primes_up_to(max(2, isqrt(max(phi, hi) - 1)))
-    p = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base.primes)) + plo
-    n = p[p > a] - a
+    seg, cls = _odd_window(plo, phi, a, base.primes)
+    p, _ = _eligible_primes(seg, cls, a)
+    n = p - a
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
     # one column, as the sums count them
     d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
     return {
         "eligible n": int(n.size),
-        "primality bitmap": _ms(lambda: _kernels.ACTIVE.primality(plo, phi, base.primes), runs),
+        "primality bitmap": _ms(
+            lambda: _kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first), runs
+        ),
         "d counted": _ms(lambda: _divisor_counts(d_q, d_c, d_col, 1, lo, hi, n), runs),
         "dk2 counted": _ms(lambda: _divisor_counts(k_q, k_c, k_col, 1, lo, hi, n), runs),
         **(_felix_rows(plo, a, width, runs) if a % 2 else {}),
@@ -135,7 +149,7 @@ def window_rows(plo, a, width, runs):
         "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
-        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi)[0][0].size / (hi - lo),
+        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi, *_parity(n))[0][0].size / (hi - lo),
     }
 
 
