@@ -18,16 +18,23 @@ the eligible n only.  Whole-window tables pass no ``at``.
 
 The strike yields two shapes: a slice of the window with an int p (the
 dense strike's strided views), or an index array with an array of
-primes of the same length.  The sparse strike takes the base primes in
-four groups, each in a few array-wide passes rather than one Python
-iteration per prime: p = 2 from the lowest set bit of every residual;
-the primes below max(width / len(at), width / BATCH_HITS), about log x
-of them, one by one by a divisibility test of the residuals, which
-reads fewer integers than their strides through the window; the primes
-up to width / STRIDE_RATIO from strided views of a bitmap of ``at``,
-concatenated into batches; and the rest from ``progressions``, read
-through the same bitmap.  Integer folds do not depend on the order of
-the primes; the dense strike keeps them ascending.
+primes of the same length.  The sparse strike reads its n = lo + at on
+a bitmap of r = (n - pi) / g (``_parity``): where every n has one
+parity pi, as the n = p - a of the odd primes p do, g = 2 and the
+bitmap, of ``size`` entries, covers half the window; where the n have
+both parities, g = 1, pi = 0 and it covers all of it.  It takes the
+base primes in four groups, each in a few array-wide passes rather
+than one Python iteration per prime: p = 2 from the lowest set bit of
+every residual; the odd primes below max(size / len(at), size /
+BATCH_HITS), about log x of them, one by one by a divisibility test of
+the residuals, which reads fewer integers than their strides through
+the bitmap; the odd primes up to size / STRIDE_RATIO from strided
+views of the bitmap, each from its first n >= lo with p | n and n = pi
+(mod g), at stride p in r (``_on_bitmap``), concatenated into batches;
+and the rest from ``progressions`` over the same r, read through the
+same bitmap.  The hyperbola count of ``sums`` reads its n through the
+same two functions.  Integer folds do not depend on the order of the
+primes; the dense strike keeps them ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
@@ -49,11 +56,11 @@ BACKEND = "numpy"
 # dominate, so they are struck together in batches of at most BATCH_HITS
 # computed hits, which bounds the memory a batch takes.  The sparse
 # strike's bitmap views go out in batches of at most BATCH_HITS view
-# entries, and no view is longer, since its primes are at least width /
-# BATCH_HITS; so no batch of either strike holds more than BATCH_HITS
-# positions.  The cofactors go out in blocks of the same size, and the
-# residual passes of the sparse strike's smallest primes read len(at)
-# residuals each.
+# entries, and no view is longer, since its primes are at least the
+# bitmap's size / BATCH_HITS; so no batch of either strike holds more
+# than BATCH_HITS positions.  The cofactors go out in blocks of the same
+# size, and the residual passes of the sparse strike's smallest primes
+# read len(at) residuals each.
 STRIDE_RATIO = 64
 BATCH_HITS = 1 << 16
 
@@ -186,26 +193,59 @@ def _strike_dense(lo, width, primes, residual):
         yield idx, p, _divide(residual, idx, p)
 
 
+def _parity(n):
+    """(pi, g): a bitmap over the n holds r = (n - pi) / g, over half the
+    integers when every n has the parity pi, over all of them (g = 1, pi
+    = 0) when the n have both.  The count and the sparse strike read
+    their windows through this one map."""
+    odd = np.count_nonzero(n & 1)
+    return (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
+
+
+def _on_bitmap(s, start, pi, g):
+    # the n = 0 (mod s) from start on as r = (n - pi) / g: the first r and
+    # the stride in r.  For g = 2 an odd s keeps its stride, with 2r + pi
+    # = 0 (mod s) at r = -pi * (s + 1) / 2; an even s has stride s / 2 in
+    # the even n and no odd n, so it counts only where s & 1 >= pi.  The
+    # first r is built in place: for the ~60,000 base primes of a window
+    # near 2**39, fresh temporaries cost twice the arithmetic.
+    odd = s & 1
+    step = s >> (odd ^ 1) if g == 2 else s
+    r = -((pi - start) // g)
+    first = (s + 1) >> 1
+    first *= -pi
+    first -= r
+    first %= step
+    first += r
+    return first, step, odd >= pi
+
+
 def _strike_sparse(lo, width, primes, at, residual):
-    # the four groups of the module docstring, each in a few array passes
+    # the four groups of the module docstring, each in a few array
+    # passes, the last two on the bitmap of r = (n - pi) / g
     if not (at.size and primes.size):
         return
-    top = max(1, int(np.searchsorted(primes, width // STRIDE_RATIO)))
-    few = max(-(-width // at.size), -(-width // BATCH_HITS))
+    pi, g = _parity(residual)
+    rlo = -((pi - lo) // g)
+    size = -((pi - lo - width) // g) - rlo
+    r = (residual - pi) // g - rlo
+    top = max(1, int(np.searchsorted(primes, size // STRIDE_RATIO)))
+    few = max(-(-size // at.size), -(-size // BATCH_HITS))
     mid = max(1, min(top, int(np.searchsorted(primes, few))))
     yield from _strike_residuals(residual, primes[1:mid].tolist())
-    # the primes up to width / STRIDE_RATIO from strided views of the
-    # bitmap of at, the rest from their progressions read through it
-    hit = np.zeros(width, dtype=np.bool_)
-    hit[at] = True
-    # window offset -> index into at, read only at the offsets in at: the
+    hit = np.zeros(size, dtype=np.bool_)
+    hit[r] = True
+    # bitmap offset -> index into at, read only at the offsets in r: the
     # first index of its 2**16 block plus a uint16 rank in the block,
     # half the memory of an int32 map
-    block = np.searchsorted(at, np.arange(0, width, 1 << 16))
-    rank = np.empty(width, dtype=np.uint16)
-    rank[at] = np.arange(at.size) - block[at >> 16]
-    strided, big = primes[mid:top], primes[top:]
-    hits = chain(_view_hits(hit, -lo % strided, strided), _progression_hits(hit, -lo % big, big))
+    block = np.searchsorted(r, np.arange(0, size, 1 << 16))
+    rank = np.empty(size, dtype=np.uint16)
+    rank[r] = np.arange(at.size) - block[r >> 16]
+    odd, cut = primes[mid:], top - mid
+    first = _on_bitmap(odd, lo, pi, g)[0]
+    first -= rlo
+    hits = chain(_view_hits(hit, first[:cut], odd[:cut]),
+                 _progression_hits(hit, first[cut:], odd[cut:]))
     for offs, p in hits:
         if p.size:
             idx = block[offs >> 16] + rank[offs]
@@ -301,22 +341,23 @@ def _pillai(lo, hi, primes, at=None):
 def _fixed_parts(num, den, idx):
     # The exact sum of floor(num/den * 2**64) over the selected positions
     # (idx is an index array or a slice), summed in four parts so every
-    # intermediate fits in int64: num < 2**40 * d(n) keeps num//den plus
-    # three chained remainder shifts (23 + 23 + 18 = 64 bits) in range.
-    # Weights of the four parts: 2**64, 2**41, 2**18, 2**0.
+    # intermediate fits in int64: for n < 2**41, den = rad(n) < 2**41 and
+    # num <= d(n) * den keep num//den plus three chained remainder shifts
+    # (22 + 22 + 20 = 64 bits, each r << 22 below 2**63) in range.
+    # Weights of the four parts: 2**64, 2**42, 2**20, 2**0.
     n = num[idx]
     d = den[idx]
     q0 = n // d
     r = n % d
-    t = r << 23
+    t = r << 22
     q1 = t // d
     r = t % d
-    t = r << 23
+    t = r << 22
     q2 = t // d
     r = t % d
-    t = r << 18
+    t = r << 20
     q3 = t // d
-    return (int(q0.sum()) << 64) + (int(q1.sum()) << 41) + (int(q2.sum()) << 18) + int(q3.sum())
+    return (int(q0.sum()) << 64) + (int(q1.sum()) << 42) + (int(q2.sum()) << 20) + int(q3.sum())
 
 
 ACTIVE = SimpleNamespace(

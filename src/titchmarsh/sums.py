@@ -8,11 +8,13 @@ a.  ``felix`` sweeps only the class p = a (mod m), n = (p - a) / m the
 r of d(r) itself.  Every sweep strikes odd p only: its bitmap runs over
 t, p = c + M*t, M = lcm(m, 2), each base prime striking its one root
 class, so a window holds M times the primes of a line window at the
-cost of one, and p = 2 is read apart, once (``_Class``).  Segment jobs
-run on a thread pool (numpy
-releases the GIL inside its array operations) and are reduced strictly
-in segment order, which together with exact integer accumulation makes
-every sum bit-identical across segment widths and worker counts.
+cost of one.  p = 2 is read apart, once, as a one-integer window of its
+own (``_Class``, ``_sweep``), so on the line and in the class of an
+odd m the n of every window have one parity.  Segment jobs run on a
+thread pool (numpy releases the GIL inside its array operations) and
+are reduced strictly in segment order, which together with exact
+integer accumulation makes every sum bit-identical across segment
+widths and worker counts.
 
 Divisor-type sums are counted, not factored.  With d(r) = 2 #{e | r :
 e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
@@ -24,9 +26,8 @@ the bitmap are merged first, their weights summed, so each distinct
 view is read once and a view whose weights cancel is not read at all
 (for dk2 the weights mu(j) of the pairs at a stride s sum to mu(s)**2
 where they share a start, so the views at a stride that is not
-squarefree cancel).  The n of an odd class all have one parity, but
-for p = 2 in the first window, so the bitmap holds only that parity,
-half the window.  Counted this way:
+squarefree cancel).  Where the n of a window have one parity, the
+bitmap holds only that parity, half the window.  Counted this way:
 
 - ``decompose``: each S1 modulus q = m in a column of its own, weight
   1, and S2 in one column shared by q = j**k, weight mu(j), over the
@@ -43,7 +44,9 @@ Factored: Pillai sums, the factor route above, and the total of
 compares two independent routes.  A sum reads g only at n = p - a,
 about one integer in log x, so these are factored at the eligible n
 only: the value kernel gets their offsets as ``at`` and divides nothing
-else of the window.
+else of the window, and strikes them on the same half-width bitmap of
+one parity as the count.  Pillai terms are exact for every n < 2**41,
+the largest n = x - a that x, |a| <= 2**40 admit.
 
 Pillai sums are rationals, so floating addition would make the total
 depend on summation order.  Instead each term P(n) = num/den is scaled
@@ -180,9 +183,9 @@ class _Class:
     primes up to isqrt(x) that do not divide M, ``first`` the t from
     which each strikes the class (``_kernels._primality``), and
     ``start`` the t of the first p >= max(3, least) swept.  p = 2 is in
-    no odd class; ``two`` says whether the sweep reads it, in front of
-    the window from ``start``: when 2 = a (mod m) and least <= 2 <=
-    x."""
+    no odd class; ``two`` says whether the sweep reads it, apart from
+    every window, as a one-integer window of its own: when 2 = a (mod m)
+    and least <= 2 <= x."""
 
     m: int
     c: int
@@ -213,12 +216,9 @@ def _class_sieve(a, m, x, base, least):
 
 
 def _eligible_primes(seg, cls, a):
-    # the primes p = c + M*t of the class over the t of the segment, with
-    # p = 2 in front of the sweep's first segment when the sweep reads it
+    # the odd primes p = c + M*t of the class over the t of the segment
     t = np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first))
     p = cls.c + cls.m * (t + seg.lo)
-    if cls.two and seg.lo == cls.start:
-        p = np.concatenate(([2], p))
     if a > 0:
         keep = p > a
         return p[keep], int(p.size - keep.sum())
@@ -241,21 +241,28 @@ def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
     ``part(base, lo, hi, n)`` returns one segment's columns, a list of
     exact ints: n over the segment's primes p > a, ascending, in the
     n-window [lo, hi) = [max(1, g*seg.lo - k), g*(seg.hi - 1) - k + 1),
-    which the first window widens down to the n of p = 2, and base the
-    primes up to the square root of the largest n or p.  Columns are
-    summed in segment order; a class with no odd p in [3, x] has the
-    columns of a window holding at most the n of p = 2."""
+    and base the primes up to the square root of the largest n or p.
+    p = 2 is in no window: when 2 > a it is read as the one-integer
+    window [n, n + 1), n = (2 - a) / m, whose columns every cut adds
+    (all cuts are at least 3), and otherwise tallied as a skipped prime.
+    So for odd m, the line included, the n of each window have one
+    parity.  Columns are summed in segment order; a class with no odd p
+    in [3, x] has the columns of p = 2 alone, or of a window with no
+    n."""
     workers = _resolve_workers(workers)
     base = primes_up_to(max(2, isqrt(max(x, x - a, 4))))
     cls = _class_sieve(a, m, x, base.primes, least)
     g, k = cls.m // m, (a - cls.c) // m
     ends = {cut: (cut - cls.c) // cls.m + 1 for cut in (*cuts, x)}
+    skipped, acc = int(cls.two and a >= 2), None
+    if cls.two and a < 2:
+        two = (2 - a) // m
+        acc = part(base, two, two + 1, np.array([two], dtype=np.int64))
     if cls.start >= ends[x]:
-        # no odd p of the class up to x: p = 2 alone, or no p at all
-        n = np.array([(2 - a) // m] if cls.two and a < 2 else [], dtype=np.int64)
-        lo = int(n[0]) if n.size else 1
-        cols = part(base, lo, lo + n.size, n)
-        return {cut: (int(cls.two and a >= 2), cols) for cut in ends}
+        # no odd p of the class up to x: the columns of p = 2 alone
+        if acc is None:
+            acc = part(base, 1, 1, np.zeros(0, dtype=np.int64))
+        return {cut: (skipped, acc) for cut in ends}
     stops = set(ends.values())
     width = -(-segment_width // g)
     _check_width(segment_width, cls.start, ends[x], width)
@@ -263,11 +270,10 @@ def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
 
     def job(seg):
         p, nskip = _eligible_primes(seg, cls, a)
-        n = (p - a) // m
-        lo = min([max(1, g * seg.lo - k), *n[:1].tolist()])  # p = 2 is below
-        return seg.hi, nskip, part(base, lo, g * (seg.hi - 1) - k + 1, n)
+        lo, hi = max(1, g * seg.lo - k), g * (seg.hi - 1) - k + 1
+        return seg.hi, nskip, part(base, lo, hi, (p - a) // m)
 
-    rows, skipped, acc = {}, 0, None
+    rows = {}
     for hi, nskip, cols in _run_ordered(segs, job, workers):
         skipped += nskip
         acc = cols if acc is None else [s + c for s, c in zip(acc, cols)]
@@ -312,41 +318,23 @@ def _start(s, e, lo):
     return np.maximum(s * e, -(-lo // s) * s)
 
 
-def _parity(n):
-    # (pi, g): the bitmap of the count holds r = (n - pi) / g, over half
-    # the integers when every n has the parity pi, over all of them (g =
-    # 1, pi = 0) when the n have both
-    odd = np.count_nonzero(n & 1)
-    return (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
-
-
-def _on_bitmap(s, start, pi, g):
-    # the n = 0 (mod s) from start on as r = (n - pi) / g: the first r and
-    # the stride in r.  For g = 2 an odd s keeps its stride, with 2r + pi
-    # = 0 (mod s) at r = -pi * (s + 1) / 2; an even s has stride s / 2 in
-    # the even n and no odd n, so it counts only where s & 1 >= pi
-    step = np.where(s & 1, s, s // g)
-    r = -((pi - start) // g)
-    return r + (-pi * ((s + 1) // 2) - r) % step, step, (s & 1) >= pi
-
-
 def _views(qs, cs, cols, ncols, lo, hi, pi, g):
     """The strided views the count reads in the window [lo, hi), whose n
-    stand on the bitmap at r = (n - pi) / g (``_parity``): the pairs (q,
-    e) with stride s = q*e below 1/STRIDE_RATIO of the width, each
-    counting the n = 0 (mod s) from its start on, as the r from t on at
-    a stride u (``_on_bitmap``), merged by (column, u, t) with their
-    weights summed; the keys whose weights cancel, and the views that
-    miss the bitmap, are dropped.  Returns (offs, steps), the distinct
-    views hit[offs::steps], and (view, col, w): each surviving key's
-    view, column and weight."""
+    stand on the bitmap at r = (n - pi) / g (``_kernels._parity``): the
+    pairs (q, e) with stride s = q*e below 1/STRIDE_RATIO of the width,
+    each counting the n = 0 (mod s) from its start on, as the r from t
+    on at a stride u (``_kernels._on_bitmap``), merged by (column, u, t)
+    with their weights summed; the keys whose weights cancel, and the
+    views that miss the bitmap, are dropped.  Returns (offs, steps), the
+    distinct views hit[offs::steps], and (view, col, w): each surviving
+    key's view, column and weight."""
     width = hi - lo
     rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
     qs, ecount = _pairs(qs, hi)
     last = np.minimum(ecount, (width // _kernels.STRIDE_RATIO - 1) // qs)
     keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for which, s, e in _pair_runs(qs, np.ones_like(qs), last):
-        t, u, on = _on_bitmap(s, _start(s, e, lo), pi, g)
+        t, u, on = _kernels._on_bitmap(s, _start(s, e, lo), pi, g)
         on &= t < rhi
         # the key of (column, u, t) is below width**2 / STRIDE_RATIO *
         # ncols: under 2**55 for the sweep's widths (at most 2**20) and
@@ -370,16 +358,17 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
     less the n = q*e*e itself.  When every n has one parity, as the n =
     (p - a) / m of an odd class do, the bitmap holds only the integers
-    of that parity, half the window (``_parity``, ``_on_bitmap``).
-    Strides below 1/STRIDE_RATIO of the width are strided views of the
-    bitmap, each distinct view read once for all the pairs that share it
+    of that parity, half the window (``_kernels._parity``,
+    ``_kernels._on_bitmap``, the map the sparse strike reads).  Strides
+    below 1/STRIDE_RATIO of the width are strided views of the bitmap,
+    each distinct view read once for all the pairs that share it
     (``_views``); the longer strides are expanded in batches, pair by
     pair.  No integer of the window is factored."""
     out = np.zeros(ncols, dtype=np.int64)
     if n.size == 0:
         return out
     width = hi - lo
-    pi, g = _parity(n)
+    pi, g = _kernels._parity(n)
     rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
     hit = np.zeros(rhi - rlo, dtype=np.bool_)
     hit[(n - pi) // g - rlo] = True
@@ -399,7 +388,7 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
         start = _start(s, e, lo)
         near = start < hi
         which, s = which[near], s[near]
-        t, u, on = _on_bitmap(s, start[near], pi, g)
+        t, u, on = _kernels._on_bitmap(s, start[near], pi, g)
         count = (rhi - 1 - t) // u + 1
         big = on & (count > 0)
         wbig = which[big]
@@ -426,23 +415,23 @@ def _divisor_weights(kind, nmax):
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk, whose pairs
 # with short strides share views (``_views``): on the half-width bitmap
 # of an odd class dk2 reads 0.28 views per pair near 2*10**6, 0.19 near
-# 10**7.  The factor route strikes only the eligible n, so it costs
-# nearly the same in every 2**20 window, 12-24 ms from 10**6 to 10**10.
-# Count over factor time per 2**20 window of p, against pairs / width
-# (tools/window_times.py, one thread, the median of three runs,
-# BENCH_17.json): d 0.29 at 0.0017 (near 2*10**6), 0.36 at 0.0032
-# (10**7), 0.49 at 0.0044 (2*10**7), 0.59 at 0.0096 (10**8), 1.08 at
-# 0.017 (3*10**8), 1.59 at 0.030 (10**9), 2.55 at 0.095 (10**10); dk2
-# 0.36 at 0.0089 (2*10**6), 0.48 at 0.013 (5*10**6), 0.73 at 0.026
-# (2*10**7), 1.22 at 0.061 (10**8), 1.90 at 0.11 (3*10**8).  The two
-# cross near 0.015 pairs per integer for d and 0.04 for dk2, which
-# would make the reach 25-65.  At 100, tracking's dk2 windows above
-# about 3.5*10**6 were factored, its wall time fell but its peak memory
-# rose by 3.5 MB (BENCH_12.json), so the reach stays at 25: a window is
-# counted when it is at least _COUNT_REACH times as wide as its pairs.
-# The count stays: factoring every window instead made the split
-# workload 42% slower in wall time (felix loses its count) and raised
-# its peak memory 6% (2 vCPUs, 4 of 4 pairs).
+# 10**7.  The factor route strikes only the eligible n, on the same
+# half-width bitmap, so it costs nearly the same in every 2**20 window,
+# 10-20 ms from 10**6 to 10**10.  Count over factor time per 2**20
+# window of p, against pairs / width (the two alternated in one process,
+# one thread, medians of 15, BENCH_18.json): d 0.29 at 0.0017 (near
+# 2*10**6), 0.37 at 0.0032 (10**7), 0.46 at 0.0044 (2*10**7), 0.85 at
+# 0.0096 (10**8), 1.08 at 0.017 (3*10**8), 1.56 at 0.030 (10**9), 2.90
+# at 0.095 (10**10); dk2 0.38 at 0.0089 (2*10**6), 0.58 at 0.018
+# (10**7), 0.74 at 0.026 (2*10**7), 1.21 at 0.061 (10**8), 2.27 at 0.11
+# (3*10**8).  The two cross near 0.014 pairs per integer for d and 0.04
+# for dk2, which would make the reach 25-70.  At 100, tracking's dk2
+# windows above about 3.5*10**6 were factored, its wall time fell but
+# its peak memory rose by 3.5 MB (BENCH_12.json), so the reach stays at
+# 25: a window is counted when it is at least _COUNT_REACH times as wide
+# as its pairs.  The count stays: factoring every window instead made
+# the split workload 42% slower in wall time (felix loses its count) and
+# raised its peak memory 6% (2 vCPUs, 4 of 4 pairs).
 _COUNT_REACH = 25
 
 

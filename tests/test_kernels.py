@@ -149,6 +149,18 @@ def test_fixed_parts_are_exact():
     assert got == expect
 
 
+def test_fixed_parts_are_exact_for_den_up_to_2_41():
+    # n < 2**41 has den = rad(n) up to 2**41 - 1 and num <= d(n) * den,
+    # d(n) < 2**14; a remainder r < den shifted by 23 bits left int64
+    rng = np.random.default_rng(12)
+    den = rng.integers(1 << 40, 1 << 41, size=4096, dtype=np.int64)
+    num = den * rng.integers(1, 1 << 14, size=4096, dtype=np.int64) + rng.integers(0, den)
+    idx = np.nonzero(rng.random(4096) < 0.7)[0]
+    got = _kernels.ACTIVE.fixed_parts(num, den, idx)
+    expect = sum((int(num[i]) << 64) // int(den[i]) for i in idx.tolist())
+    assert got == expect
+
+
 def test_fixed_parts_single_term_matches_fraction():
     num = np.array([293], dtype=np.int64)
     den = np.array([15], dtype=np.int64)
@@ -179,6 +191,46 @@ def _check_sparse(lo, hi, at):
 def test_sparse_kernels_match_dense_on_random_windows(lo, width, density, seed):
     rng = np.random.default_rng(seed)
     _check_sparse(lo, lo + width, np.nonzero(rng.random(width) < density)[0])
+
+
+def _one_parity(lo, width, pi, density, seed):
+    # the offsets of the n = lo + at of parity pi, each kept with the
+    # given density
+    at = np.arange((pi - lo) % 2, width, 2)
+    return at[np.random.default_rng(seed).random(at.size) < density]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(1, 2**41 - 4096), width=st.integers(1, 4096), pi=st.integers(0, 1),
+       density=st.sampled_from([1.0, 0.5, 0.05]), seed=st.integers(0, 2**32))
+def test_sparse_kernels_match_dense_on_one_parity(lo, width, pi, density, seed):
+    # n of one parity are struck on the half-width bitmap of r = (n - pi) / 2
+    _check_sparse(lo, lo + width, _one_parity(lo, width, pi, density, seed))
+
+
+@pytest.mark.parametrize("lo,width,pi", [
+    (10**8, 4095, 0),  # even lo, odd width: the last n is even, the last r
+    (10**8 + 1, 4096, 1),  # odd lo, even width: the last odd n is lo + width - 2
+    (10**8, 4096, 1),  # even lo: the first odd n is lo + 1, at r = 0
+    (10**8 + 1, 1, 1),  # a window of one n
+    (2**41 - 4096, 4096, 0),
+    (2**41 - 4096, 4096, 1),
+    (2**41 - 4097, 4096, 0),  # odd lo, even n: the last n is 2**41 - 2
+])
+def test_sparse_one_parity_edges(lo, width, pi):
+    full = _one_parity(lo, width, pi, 1.0, 0)
+    assert (lo + full[-1]) % 2 == pi and full[-1] >= width - 2
+    _check_sparse(lo, lo + width, full)
+    for at in (full[:1], full[-1:], full[::7], full[1:]):
+        _check_sparse(lo, lo + width, at)
+
+
+def test_sparse_one_parity_across_rank_blocks():
+    # 2**18 odd n: the half-width bitmap spans two 2**16 blocks of the rank map
+    lo, hi = 10**10 + 1, 10**10 + 1 + (1 << 18)
+    rng = np.random.default_rng(7)
+    at = np.arange(0, hi - lo, 2)
+    _check_sparse(lo, hi, at[rng.random(at.size) < 0.3])
 
 
 def test_sparse_repeated_index_in_one_batch():

@@ -16,13 +16,14 @@ from titchmarsh.functions import (
     MOEBIUS,
     PILLAI,
     UNITARY_DIVISOR,
+    evaluate,
     function_table,
     integer_kth_root,
     k_free_divisor,
     pillai_gcd_oracle,
     value_range,
 )
-from titchmarsh.sieve import primes_up_to
+from titchmarsh.sieve import factorize_int, primes_up_to
 from titchmarsh.sums import (
     FelixRecord,
     SumRecord,
@@ -96,6 +97,33 @@ def test_p_2_is_read_once_beside_the_odd_class(a, width):
             assert (r.sum, r.skipped_primes) == _direct_sum(kind, a, r.x), (kind.tag, r.x)
 
 
+@pytest.mark.parametrize("m,a,least", [(1, 1, 2), (1, -1, 2), (1, 2, 2), (1, -(2**39), 2),
+                                         (1, 5, 6), (3, -1, 0), (9, -7, -6), (5, 2, 3)])
+@pytest.mark.parametrize("width", [1, 2, 97, 1 << 12])
+def test_every_window_of_the_sweep_has_one_parity(m, a, least, width):
+    # p = 2 is read as a window of its own, so on the line and in the
+    # class of an odd m the n of every window a part gets have one
+    # parity, and the bitmaps of the count and the strike are half-width
+    windows = []
+
+    def part(base, lo, hi, n):
+        windows.append((lo, hi, n.copy()))
+        return [int(n.size)]
+
+    x = max(a, 0) + 3000
+    rows = titchmarsh.sums._sweep(a, x, part, width, 2, (1000,), m=m, least=least)
+    odd = [p for p in primes_up_to(x).primes.tolist() if (p - a) % m == 0 and p >= least]
+    assert rows[x] == (sum(p <= a for p in odd), [sum(p > a for p in odd)])
+    assert windows
+    for lo, hi, n in windows:
+        assert n.size == 0 or (np.all(n & 1 == n[0] & 1) and lo <= n[0] and n[-1] < hi)
+    # p = 2, when summed, is the one-integer window [n, n + 1) in front
+    if 2 in odd and a < 2:
+        lo, hi, n = windows[0]
+        assert (lo, hi, n.tolist()) == ((2 - a) // m, (2 - a) // m + 1, [(2 - a) // m])
+    assert not any((n * m + a == 2).any() for _, _, n in windows[1:])
+
+
 def test_pillai_sum_is_exact_fixed_point():
     # every term contributes floor(num 2^64 / den); the report divides once
     acc = 0
@@ -107,6 +135,17 @@ def test_pillai_sum_is_exact_fixed_point():
     true = sum(pillai_gcd_oracle(p - 1) for p in primes_up_to(20).primes.tolist())
     assert abs(rec.sum - true) < 1e-12
     assert true == Fraction(293, 15)
+
+
+@pytest.mark.parametrize("x", [50, 1000])
+@pytest.mark.parametrize("a", [-(2**40), -(2**40) + 1])
+def test_pillai_sum_is_exact_up_to_n_2_41(a, x):
+    # n = p - a reaches 2**40 + x, where den = rad(n) passes 2**40
+    acc = 0
+    for p in primes_up_to(x).primes.tolist():
+        v = evaluate(PILLAI, factorize_int(p - a))
+        acc += (v.numerator << 64) // v.denominator
+    assert shifted_prime_sum(PILLAI, a, x, [x])[-1].sum == acc / (1 << 64)
 
 
 def test_main_term_and_normalized_error():
@@ -656,20 +695,24 @@ _CHECKPOINTS = [10**4, 10**5, 10**6, 10**7]
 
 
 @pytest.mark.parametrize("run,want", [
-    # the benchmark's tracking sums, in 13 windows: 10 on the 2**20 grid,
-    # 3 more from the cuts; every one counted for d, and for dk2 all but
-    # the 48575 integers from the cut at 10**6 to the grid, too narrow
-    # for their pairs
-    (lambda: shifted_prime_sum(DIVISOR, 1, 10**7, _CHECKPOINTS, workers=1), ["count"] * 13),
+    # the benchmark's tracking sums: first p = 2 as the one-integer
+    # window n = 1, whose one pair is too many for its width, so it is
+    # factored; then 13 windows, 10 on the 2**20 grid, 3 more from the
+    # cuts; every one counted for d, and for dk2 all but the 48575
+    # integers from the cut at 10**6 to the grid, too narrow for their
+    # pairs
+    (lambda: shifted_prime_sum(DIVISOR, 1, 10**7, _CHECKPOINTS, workers=1),
+     ["factor"] + ["count"] * 13),
     (lambda: shifted_prime_sum(k_free_divisor(2), 1, 10**7, _CHECKPOINTS, workers=1),
-     ["count"] * 3 + ["factor"] + ["count"] * 9),
+     ["factor"] + ["count"] * 3 + ["factor"] + ["count"] * 9),
     # its split workload's T_m, over r <= (10**7 - 1) / m: all counted
     (lambda: felix_partial_sum(2, 1, 10**7, workers=1), ["count"] * 5),
     (lambda: felix_partial_sum(3, 1, 10**7, workers=1), ["count"] * 4),
     (lambda: felix_partial_sum(5, 1, 10**7, workers=1), ["count"] * 2),
-    # its high_shift d sum: both windows near 2**39 factored
+    # its high_shift d sum: p = 2 at n = 2**39 + 2 and both windows near
+    # 2**39 factored
     (lambda: shifted_prime_sum(DIVISOR, -(2**39), 2 * 10**6, [2 * 10**6], workers=1),
-     ["factor"] * 2),
+     ["factor"] * 3),
 ], ids=["d", "dk2", "felix2", "felix3", "felix5", "high_shift_d"])
 def test_the_benchmark_sums_take_their_measured_routes(monkeypatch, run, want):
     routes = _stub_routes(monkeypatch)
@@ -690,11 +733,14 @@ def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):
 
     monkeypatch.setattr(_kernels.ACTIVE, "kfree", counted)
     rep = decompose_s1_s2(2, 1, 10**5)
-    # the last window ends at n = 99998, the n of the last odd p <= 10**5
-    assert calls and calls[0][0] == 1 and calls[-1][1] == 10**5 - 1
+    # first p = 2 as the window [1, 2), then the odd p from n = 2 on; the
+    # last window ends at n = 99998, the n of the last odd p <= 10**5
+    assert calls[:2] == [(1, 2), (2, calls[1][1])] and calls[-1][1] == 10**5 - 1
     calls.clear()
     ref = shifted_prime_sum(k_free_divisor(2), 1, 10**5, [10**5])[-1].sum
-    assert calls == []
+    # the plain sum counts every window of odd p; only p = 2's window
+    # [1, 2) is factored, too narrow for its one pair
+    assert calls == [(1, 2)]
     assert rep.s1 + rep.s2 == rep.total == ref
 
 

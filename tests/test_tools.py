@@ -24,7 +24,9 @@ def test_window_times_reads_the_windows_it_names(capsys):
     table = json.loads(capsys.readouterr().out)
     primes = primes_up_to(10**6 + 2**12).primes
     assert table["1000000:1"]["eligible n"] == int((primes >= 10**6).sum())
-    assert table["2:-549755813888"]["eligible n"] == int((primes < 2 + 2**12).sum())
+    # the sweep reads p = 2 apart, in no window, so the window at 2 holds
+    # the odd primes below 2 + 2**12
+    assert table["2:-549755813888"]["eligible n"] == int((primes < 2 + 2**12).sum()) - 1
     for rows in table.values():
         assert all(v >= 0 for v in rows.values())
         assert rows["dense table"] > 0

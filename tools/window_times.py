@@ -7,14 +7,16 @@ Usage:
 Each point P:A is one window of the primes, [P, P + W), and its shift a;
 the sums read n = p - a for the primes p > a there, so the n-window is
 [max(1, P - a), P + W - a).  The sums sweep the odd p = 2t - 1 of the
-window, W/2 values of t, and read p = 2 apart (``sums._Class``); so
-does every row here.  The default points are 10^7:1 (the top
-window of felix's T_m to 10^7), 10^8:1 (n near 10^8) and 2:-2^39 (n
-near 2^39, the first window of a sum with a = -2^39).  Numbers may be
-written 123, 3e8 or 2^39.
+window, W/2 values of t, and read p = 2 apart, as a one-integer window
+of its own (``sums._sweep``); so every row here reads the odd p alone,
+and the n of each window have one parity.  The default points are
+10^7:1 (the top window of felix's T_m to 10^7), 10^8:1 (n near 10^8)
+and 2:-2^39 (n near 2^39, the first window of a sum with a = -2^39).
+Numbers may be written 123, 3e8 or 2^39.
 
 Rows, each the median of N runs (default 5) on one thread:
-  eligible n         the number of n = p - a the sums read
+  eligible n         the number of n = p - a the sums read in the window,
+                     p = 2 not among them
   primality bitmap   ms for the primality kernel over the odd p of the
                      prime window, W/2 values of t
   d / dk2 counted    ms for the hyperbola count (sums._divisor_counts)
@@ -59,7 +61,6 @@ from titchmarsh.sums import (
     _eligible_primes,
     _factor_part,
     _pairs,
-    _parity,
     _value_part,
     _views,
 )
@@ -94,7 +95,7 @@ def _ms(call, runs):
 
 def _odd_window(plo, phi, a, base):
     # the line's odd class over the p in [plo, phi), as the sums sweep it:
-    # (segment of t, class), p = 2 read in front when plo <= 2
+    # (segment of t, class); p = 2 is in no window
     cls = _class_sieve(a, 1, phi - 1, base, plo)
     return Segment(cls.start, -((cls.c - phi) // 2)), cls
 
@@ -132,6 +133,7 @@ def window_rows(plo, a, width, runs):
     seg, cls = _odd_window(plo, phi, a, base.primes)
     p, _ = _eligible_primes(seg, cls, a)
     n = p - a
+    parity = _kernels._parity(n)
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
     # one column, as the sums count them
     d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
@@ -149,7 +151,7 @@ def window_rows(plo, a, width, runs):
         "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
-        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi, *_parity(n))[0][0].size / (hi - lo),
+        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi, *parity)[0][0].size / (hi - lo),
     }
 
 
