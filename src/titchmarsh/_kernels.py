@@ -271,13 +271,13 @@ def _strike_residuals(residual, small):
             yield idx, ps, _divide(residual, idx, ps)
 
 
-def _fold(lo, hi, primes, ufunc, *factors, at=None, dtype=np.int64):
-    """One ``dtype`` array per local factor: ufunc's identity combined by
+def _fold(lo, hi, primes, ufunc, *factors, at=None):
+    """One int64 array per local factor: ufunc's identity combined by
     ufunc with factor(p, e) for every prime power p**e exactly dividing
-    each n in the window (with ``at``, each n = lo + at[i]); without
-    ``at`` in ascending order of p with the cofactor last."""
+    each n in the window (with ``at``, each n = lo + at[i]), in
+    whatever order the strike yields them."""
     size = hi - lo if at is None else len(at)
-    out = [np.full(size, ufunc.identity, dtype=dtype) for _ in factors]
+    out = [np.full(size, ufunc.identity, dtype=np.int64) for _ in factors]
     for idx, p, e in strike(lo, hi, primes, at):
         for arr, factor in zip(out, factors):
             if isinstance(idx, slice):

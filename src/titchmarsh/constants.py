@@ -43,9 +43,10 @@ DEFAULT_SERIES_LIMIT = 10**4
 # few float arrays over them: bk_product at 10**8 takes ~0.6 s and peaks
 # near 250 MB of resident memory.
 MAX_PRODUCT_LIMIT = 10**8
-# The tail envelope of cf_series factors every j up to 256 * m_limit
-# window by window, so its memory stays near 100 MB at any m_limit, but
-# its time grows with m_limit: ~31 s on one core at 10**6.
+# The tail envelope of cf_series sieves the squarefree j up to 256 *
+# m_limit in 2**16-wide windows, so a fresh process stays under 40 MB
+# resident at any m_limit, but its time grows with m_limit: 22-25 s on
+# one core at 10**6.
 MAX_SERIES_LIMIT = 10**6
 
 _EPS = sys.float_info.epsilon
@@ -259,10 +260,11 @@ class CfSpec:
         return cls("pillai")
 
 
-def _signed_ratio(p, e):
-    # local factor of mu(j) * ratio(j): -p^2/(p^2 - p + 1) where p || j,
-    # 0 where p^2 | j
-    return np.where(e > 1, 0.0, -(p * p / (p * p - p + 1.0)))
+# The ratio sieve's window: its two float64 arrays, 512 KiB each, fit in
+# a core's L2 (2 MiB on the 2-vCPU Xeon host).  The midsection of the
+# envelope at m_limit 10**5 took 1.1-1.4 s at this width, against 1.6-1.7
+# s and 56 MiB traced (here 4 MiB) in windows of 2**20.
+_SERIES_WIDTH = 1 << 16
 
 
 def _series_terms(lo, hi, k):
@@ -270,15 +272,46 @@ def _series_terms(lo, hi, k):
     per window of iter_segments, where ratio(j) = prod_{p | j} p^2/(p^2 -
     p + 1) = c_j / T(a), any a.
 
-    The strike multiplies each j's factors in ascending order of p, so
-    every term is the same double as a product taken prime by prime; a
+    A sieve for squarefree j: each base prime p <= isqrt(seg.hi - 1) of
+    a window multiplies -p^2/(p^2 - p + 1) into the weights w and p into
+    the products prod at its multiples, the primes below width /
+    STRIDE_RATIO as strided views, the rest in batches from
+    ``_kernels.progressions``, so in ascending p at every j.  Then w is
+    zeroed at the multiples of each p^2.  The cofactor c = j / prod,
+    exact as a double below 2**53, is 1 or the one prime above the root,
+    and multiplies last.  So every term is the same double as a product
+    taken prime by prime in ascending order with the cofactor last; a
     sign flip is exact, so mu(j) * ratio(j) is +-ratio(j) bit for bit.
     """
     base = primes_up_to(max(2, isqrt(hi - 1))).primes
-    for seg in iter_segments(lo, hi):
-        (w,) = _kernels._fold(seg.lo, seg.hi, base, np.multiply, _signed_ratio, dtype=np.float64)
-        live = np.nonzero(w)[0]
-        yield w[live] / (live + seg.lo).astype(np.float64) ** k
+    for seg in iter_segments(lo, hi, _SERIES_WIDTH):
+        width = seg.hi - seg.lo
+        primes = base[: np.searchsorted(base, isqrt(seg.hi - 1), side="right")]
+        split = int(np.searchsorted(primes, width // _kernels.STRIDE_RATIO))
+        w = np.ones(width)
+        prod = np.ones(width)
+        for p in primes[:split].tolist():
+            s = -seg.lo % p
+            w[s::p] *= -(p * p / (p * p - p + 1.0))
+            prod[s::p] *= p
+        big = primes[split:]
+        first = -seg.lo % big
+        for which, idx in _kernels.progressions(first, big, (width - first + big - 1) // big):
+            p = big[which].astype(np.float64)
+            np.multiply.at(w, idx, -(p * p / (p * p - p + 1.0)))
+            np.multiply.at(prod, idx, p)
+        square = primes * primes
+        first = -seg.lo % square
+        few = int(np.searchsorted(square, width))
+        for s, q in zip(first[:few].tolist(), square[:few].tolist()):
+            w[s::q] = 0.0
+        once = first[few:]  # p^2 > width: at most one multiple each
+        w[once[once < width]] = 0.0
+        live = np.flatnonzero(w)
+        j = (live + seg.lo).astype(np.float64)
+        c = (j / prod[live]).astype(np.int64)
+        w = w[live] * np.where(c > 1, -(c * c / (c * c - c + 1.0)), 1.0)
+        yield w / j**k
 
 
 @lru_cache(maxsize=None)
@@ -307,8 +340,9 @@ _TAIL_STRETCH = 256
 def _cf_tail_envelope(m_cut, k):
     """Bound on sum_{j > m_cut} mu^2(j) ratio(j) / j^k, ratio as above.
 
-    Exact midsection out to Q = 256 * m_cut, summed window by window
-    into one fsum so that memory does not grow with m_cut, then an
+    Exact midsection out to Q = 256 * m_cut, from the ratio sieve of
+    ``_series_terms``, summed window by window into one fsum, so that
+    memory stays at a few 2**16-wide windows at any m_cut, then an
     analytic remainder: writing ratio(j) = sum_{d | j} g(d) (squarefree
     j) and splitting j = d*t gives, for Q >= 1,
 

@@ -5,7 +5,10 @@ import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from titchmarsh import constants
 from titchmarsh.constants import (
@@ -20,6 +23,7 @@ from titchmarsh.constants import (
     zeta_product_identity_gap,
     zeta_value,
 )
+from titchmarsh.sieve import factorize_int
 
 mpmath.mp.dps = 30
 
@@ -280,6 +284,71 @@ def test_cf_series_memory_does_not_grow_with_the_limit():
     # past 256 * 10**5 > 4096**2 the strike batches its large base primes;
     # the bits were recorded from the table-based implementation
     assert _bits(r) == ("0x1.ffffff87bd5cfp-1", "0x1.04775c36fdd2bp-16", "0x1.5e483a1c5a3b0p-46")
+
+
+def test_tail_envelope_memory_is_a_few_windows():
+    # the ratio sieve holds the arrays of one 2**16 window at a time,
+    # about 4 MiB traced; a fold over 2**20 windows peaks near 40 MiB
+    constants._cf_tail_envelope.cache_clear()
+    tracemalloc.start()
+    try:
+        constants._cf_tail_envelope(10**4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
+
+
+def _factored_terms(lo, hi, k):
+    # the reference: each j factored on its own, -p^2/(p^2 - p + 1)
+    # multiplied in ascending p, and j dropped when some p^2 divides it.
+    # j**k is numpy's, as in the sieve: Python's float ** int calls libm's
+    # pow, which near 2.56e8 misses the correctly rounded j*j by an ulp
+    ws, js = [], []
+    for j in range(lo, hi):
+        w = 1.0
+        for p, e in factorize_int(j):
+            if e > 1:
+                break
+            w *= -(p * p / (p * p - p + 1.0))
+        else:
+            ws.append(w)
+            js.append(j)
+    return (np.array(ws) / np.array(js, dtype=np.float64) ** k).tolist()
+
+
+def _assert_terms_match(lo, hi, k):
+    got = np.concatenate(list(constants._series_terms(lo, hi, k)))
+    assert got.tolist() == _factored_terms(lo, hi, k), (lo, hi, k)
+
+
+_W = constants._SERIES_WIDTH
+_TOP = constants._TAIL_STRETCH * MAX_SERIES_LIMIT
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (1, 300),  # j = 1 and the smallest roots
+    (_W - 40, _W + 40),  # the first seam
+    (7 * _W - 1, 7 * _W + 2),  # one j either side of a seam
+    (9 * _W - 30, 9 * _W + 30),  # 9 * 2**16, a multiple of 3**2, on the seam
+    (25 * 49 * _W - 30, 25 * 49 * _W + 30),  # multiples of 5**2 and 7**2 on it
+    (257**2 - 600, 257**2 + 40),  # 257**2 > 2**16, past the first seam
+    (2 * _W - 3, 2 * 257**2 + 5),  # the second seam, then 2 * 257**2
+    (251**2 - 40, 251**2 + 1),  # the root 251 = isqrt(hi - 1), its square last
+    (251**2 - 40, 251**2),  # the root 250: 251 only as a cofactor
+    (15991**2 - 60, 15991**2 + 1),  # the largest root below 256 * MAX_SERIES_LIMIT
+    (15991**2 - 60, 15991**2),  # the root 15990
+    (_TOP - 200, _TOP + 1),  # the top of the envelope at MAX_SERIES_LIMIT
+])
+@pytest.mark.parametrize("k", [2, 3])
+def test_series_terms_equal_factored_j(lo, hi, k):
+    _assert_terms_match(lo, hi, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(1, _TOP), width=st.integers(1, 300), k=st.sampled_from([2, 3]))
+def test_series_terms_equal_factored_j_anywhere(lo, width, k):
+    _assert_terms_match(lo, lo + width, k)
 
 
 # value of bk_product(2, a, P) for a = 1, -6 and zeta_product_identity_gap(P)

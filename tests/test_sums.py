@@ -332,6 +332,26 @@ def _sweeps(monkeypatch):
     return calls
 
 
+def test_sums_at_one_limit_share_their_base_primes(monkeypatch):
+    # the sweep sieves its base primes once per square root, and hands
+    # every later sum the same read-only array
+    titchmarsh.sums._base_primes.cache_clear()
+    calls = []
+    sieve_primes = titchmarsh.sums.primes_up_to
+
+    def counted(n):
+        calls.append(n)
+        return sieve_primes(n)
+
+    monkeypatch.setattr(titchmarsh.sums, "primes_up_to", counted)
+    shifted_prime_sum(DIVISOR, 1, 10**4)
+    assert calls == [100]
+    shifted_prime_sum(PILLAI, -6, 10**4 - 6)  # isqrt(x - a) = 100 again
+    assert calls == [100]
+    with pytest.raises(ValueError, match="read-only"):
+        titchmarsh.sums._base_primes(100).primes[0] = 1
+
+
 def test_felix_sweeps_its_class_from_r_1(monkeypatch):
     # the odd p = a (mod 3) are p = c + 6t, so the first p > a, p = a + 6
     # (r = 2; r = 1 is the even p = a + 3), starts the sweep; at a far
