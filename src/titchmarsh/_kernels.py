@@ -11,30 +11,30 @@ would have two factors above sqrt(n), exceeding n).  Each kernel is a
 local-factor rule folded over that stream.
 
 A sum reads its function only at n = p - a, about one n in log x, so
-the strike and every value kernel take an optional ascending array
-``at`` of window offsets: the residual then holds only those n, the
-values come back in the order of ``at``, and the sums are factored at
-the eligible n only.  Whole-window tables pass no ``at``.
+the strike and every value kernel take an optional strictly ascending
+array ``at`` of window offsets: the residual then holds only those n,
+the values come back in the order of ``at``, and the sums are factored
+at the eligible n only.  Whole-window tables pass no ``at``.
 
-The strike yields two shapes: a slice of the window with an int p (the
-dense strike's strided views), or an index array with an array of
-primes of the same length.  The sparse strike reads its n = lo + at on
-a bitmap of r = (n - pi) / g (``_parity``): where every n has one
-parity pi, as the n = p - a of the odd primes p do, g = 2 and the
-bitmap, of ``size`` entries, covers half the window; where the n have
-both parities, g = 1, pi = 0 and it covers all of it.  It takes the
-base primes in four groups, each in a few array-wide passes rather
-than one Python iteration per prime: p = 2 from the lowest set bit of
-every residual; the odd primes below max(size / len(at), size /
-BATCH_HITS), about log x of them, one by one by a divisibility test of
-the residuals, which reads fewer integers than their strides through
-the bitmap; the odd primes up to size / STRIDE_RATIO from strided
-views of the bitmap, each from its first n >= lo with p | n and n = pi
-(mod g), at stride p in r (``_on_bitmap``), concatenated into batches;
-and the rest from ``progressions`` over the same r, read through the
-same bitmap.  The hyperbola count of ``sums`` reads its n through the
-same two functions.  Integer folds do not depend on the order of the
-primes; the dense strike keeps them ascending.
+Every walk of base primes through a window splits the progressions
+first[i] + t * step[i] of ascending steps in one place: ``multiples``
+yields the steps below 1/STRIDE_RATIO of the window as strided views
+and the rest in batches from ``progressions``, and ``_hits`` reads a
+bitmap on the same walk, its views concatenated into batches.
+
+The strike yields a slice of the window with an int p (the dense
+strike's strided views), or an index array with an array of primes of
+the same length.  The sparse strike reads its n = lo + at on the bitmap
+of ``_grid``, r = (n - pi) / g, which covers half the window when every
+n has one parity pi (g = 2), as the n = p - a of the odd primes p do,
+and all of it otherwise (g = 1, pi = 0).  It takes p = 2 from the
+lowest set bit of every residual; the odd primes below max(size /
+len(at), size / BATCH_HITS) and size / STRIDE_RATIO, about log x of
+them, by a divisibility test of the residuals, which reads fewer
+integers than their strides through the bitmap; and the rest through
+``_hits``, at stride p in r from the first n >= lo with p | n and n =
+pi (mod g) (``_on_bitmap``).  The hyperbola count of ``sums`` reads its
+n through the same map.  The dense strike keeps the primes ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
@@ -42,7 +42,6 @@ wrapper at run time.  Callers pass ``at`` positionally, so a wrapper
 that forwards ``*args`` forwards it too.
 """
 
-from itertools import chain
 from math import isqrt
 from types import SimpleNamespace
 
@@ -50,17 +49,13 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Both strikes (and the primality kernel and the count) walk the primes
-# below 1/STRIDE_RATIO of the width as strided views of the window.
-# Larger primes hit so few integers each that per-prime overhead would
-# dominate, so they are struck together in batches of at most BATCH_HITS
-# computed hits, which bounds the memory a batch takes.  The sparse
-# strike's bitmap views go out in batches of at most BATCH_HITS view
-# entries, and no view is longer, since its primes are at least the
-# bitmap's size / BATCH_HITS; so no batch of either strike holds more
-# than BATCH_HITS positions.  The cofactors go out in blocks of the same
-# size, and the residual passes of the sparse strike's smallest primes
-# read len(at) residuals each.
+# Steps below 1/STRIDE_RATIO of the width are walked as strided views
+# (by the count too); longer ones hit so few integers each that they go
+# in batches of at most BATCH_HITS computed hits, which bounds a batch's
+# memory.  The sparse strike's views go out in batches of at most
+# BATCH_HITS entries, and no view is longer (its primes are at least the
+# bitmap's size / BATCH_HITS), nor is a block of cofactors; its residual
+# passes read len(at) residuals each.
 STRIDE_RATIO = 64
 BATCH_HITS = 1 << 16
 
@@ -97,31 +92,42 @@ def progressions(first, step, counts):
         yield which, first[which] + t * step[which]
 
 
-def _view_hits(flags, first, step):
-    """The true entries of the strided views flags[first[i]::step[i]],
-    each at most BATCH_HITS long, read in batches of concatenated views
-    holding at most BATCH_HITS entries.  Yields (offs, steps): the
-    offsets of the true entries in flags and the step of the view each
-    is from."""
-    counts = (flags.size - first + step - 1) // step
-    ends = np.cumsum(counts)
+def _split(first, step, size):
+    # the number of steps below size / STRIDE_RATIO, and each one's count of terms below size
+    return int(np.searchsorted(step, size // STRIDE_RATIO)), (size - first + step - 1) // step
+
+
+def multiples(first, step, size):
+    """Walk the progressions first[i] + t * step[i] below size, for
+    ascending steps and 0 <= first[i] < max(size, step[i]).  A step below
+    size / STRIDE_RATIO yields (slice(first[i], None, step[i]), i); the
+    rest come as the (idx, which) chunks of ``progressions``."""
+    cut, counts = _split(first, step, size)
+    # map and zip, not a Python loop, which made the primality kernel slower
+    yield from zip(map(slice, first[:cut].tolist(), [None] * cut, step[:cut].tolist()), range(cut))
+    counts[:cut] = 0  # walked above; ``which`` still indexes every step
+    for which, idx in progressions(first, step, counts):
+        yield idx, which
+
+
+def _hits(flags, first, step):
+    """(offs, which) for the true entries flags[offs] on the walk of
+    ``multiples`` with size = flags.size, which[t] the progression of
+    offs[t]; the strided views are read in batches of at most BATCH_HITS
+    entries (a longer view alone)."""
+    cut, counts = _split(first, step, flags.size)
+    ends = np.cumsum(counts[:cut])
     # entry t of the concatenated views, in view v, is at origin[v] + t * step[v]
-    origin = first - (ends - counts) * step
+    origin = first[:cut] - (ends - counts[:cut]) * step[:cut]
     for i, j, done in _runs(ends):
         views = zip(first[i:j].tolist(), step[i:j].tolist())
         t = np.flatnonzero(np.concatenate([flags[o::s] for o, s in views])) + done
         v = np.searchsorted(ends, t, side="right")
-        s = step[v]
-        yield origin[v] + t * s, s
-
-
-def _progression_hits(flags, first, step):
-    """The true entries of flags on the progressions first[i] + t * step[i]
-    inside it, read through ``progressions``.  Yields (offs, steps) as
-    ``_view_hits`` does."""
-    for which, offs in progressions(first, step, (flags.size - first + step - 1) // step):
+        yield origin[v] + t * step[v], v
+    counts[:cut] = 0
+    for which, offs in progressions(first, step, counts):
         keep = np.flatnonzero(flags[offs])
-        yield offs[keep], step[which[keep]]
+        yield offs[keep], which[keep]
 
 
 def _divide(residual, idx, p):
@@ -143,7 +149,7 @@ def _divide(residual, idx, p):
 
 def strike(lo, hi, primes, at=None):
     """Factor every n in [lo, hi) over the base primes, or with ``at``,
-    an ascending array of window offsets, only the n = lo + at[i].
+    a strictly ascending array of window offsets, only the n = lo + at[i].
 
     Yields (idx, p, e): the positions idx of the multiples of p and the
     exponent e of p at each.  A position is a window offset, or with
@@ -161,7 +167,7 @@ def strike(lo, hi, primes, at=None):
     else:
         at = np.asarray(at, dtype=np.int64)
         residual = at + lo
-        yield from _strike_sparse(lo, hi - lo, primes, at, residual)
+        yield from _strike_sparse(lo, hi, primes, at, residual)
     for c in range(0, residual.size, BATCH_HITS):
         r = residual[c : c + BATCH_HITS]
         idx = np.nonzero(r > 1)[0]
@@ -169,37 +175,35 @@ def strike(lo, hi, primes, at=None):
 
 
 def _strike_dense(lo, width, primes, residual):
-    split = int(np.searchsorted(primes, width // STRIDE_RATIO))
-    for p in primes[:split].tolist():
-        s = -lo % p
-        if s >= width:
-            continue
-        view = residual[s::p]
-        view //= p
-        e = np.ones(view.size, dtype=np.int64)
-        # multiples of p**2, p**3, ... are sub-strides of the multiples of p
-        q = p * p
-        t = -lo % q
-        while t < width:
-            residual[t::q] //= p
-            e[(t - s) // p :: q // p] += 1
-            q *= p
+    for idx, i in multiples(-lo % primes, primes, width):
+        if isinstance(idx, slice):
+            s, p = idx.start, idx.step
+            view = residual[idx]
+            view //= p
+            e = np.ones(view.size, dtype=np.int64)
+            # multiples of p**2, p**3, ... are sub-strides of the multiples of p
+            q = p * p
             t = -lo % q
-        yield slice(s, None, p), p, e
-    big = primes[split:]
-    first = -lo % big
-    for which, idx in progressions(first, big, (width - first + big - 1) // big):
-        p = big[which]
-        yield idx, p, _divide(residual, idx, p)
+            while t < width:
+                residual[t::q] //= p
+                e[(t - s) // p :: q // p] += 1
+                q *= p
+                t = -lo % q
+            yield idx, p, e
+        else:
+            p = primes[i]
+            yield idx, p, _divide(residual, idx, p)
 
 
-def _parity(n):
-    """(pi, g): a bitmap over the n holds r = (n - pi) / g, over half the
-    integers when every n has the parity pi, over all of them (g = 1, pi
-    = 0) when the n have both.  The count and the sparse strike read
-    their windows through this one map."""
+def _grid(n, lo, hi):
+    """(pi, g, rlo, rhi, r): the bitmap of the n in the window [lo, hi)
+    holds r = (n - pi) / g - rlo, at offsets below rhi - rlo, over half
+    the integers when every n has the parity pi (g = 2), over all of them
+    (g = 1, pi = 0) when the n have both."""
     odd = np.count_nonzero(n & 1)
-    return (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
+    pi, g = (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
+    rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
+    return pi, g, rlo, rhi, (n - pi) // g - rlo
 
 
 def _on_bitmap(s, start, pi, g):
@@ -220,18 +224,16 @@ def _on_bitmap(s, start, pi, g):
     return first, step, odd >= pi
 
 
-def _strike_sparse(lo, width, primes, at, residual):
-    # the four groups of the module docstring, each in a few array
-    # passes, the last two on the bitmap of r = (n - pi) / g
+def _strike_sparse(lo, hi, primes, at, residual):
+    # the three groups of the module docstring, each in a few array
+    # passes rather than one Python iteration per prime
     if not (at.size and primes.size):
         return
-    pi, g = _parity(residual)
-    rlo = -((pi - lo) // g)
-    size = -((pi - lo - width) // g) - rlo
-    r = (residual - pi) // g - rlo
-    top = max(1, int(np.searchsorted(primes, size // STRIDE_RATIO)))
+    pi, g, rlo, rhi, r = _grid(residual, lo, hi)
+    size = rhi - rlo
+    # the residual group ends where the strided views begin, or earlier
     few = max(-(-size // at.size), -(-size // BATCH_HITS))
-    mid = max(1, min(top, int(np.searchsorted(primes, few))))
+    mid = max(1, int(np.searchsorted(primes, min(few, size // STRIDE_RATIO))))
     yield from _strike_residuals(residual, primes[1:mid].tolist())
     hit = np.zeros(size, dtype=np.bool_)
     hit[r] = True
@@ -241,14 +243,13 @@ def _strike_sparse(lo, width, primes, at, residual):
     block = np.searchsorted(r, np.arange(0, size, 1 << 16))
     rank = np.empty(size, dtype=np.uint16)
     rank[r] = np.arange(at.size) - block[r >> 16]
-    odd, cut = primes[mid:], top - mid
+    odd = primes[mid:]
     first = _on_bitmap(odd, lo, pi, g)[0]
     first -= rlo
-    hits = chain(_view_hits(hit, first[:cut], odd[:cut]),
-                 _progression_hits(hit, first[cut:], odd[cut:]))
-    for offs, p in hits:
-        if p.size:
+    for offs, which in _hits(hit, first, odd):
+        if which.size:
             idx = block[offs >> 16] + rank[offs]
+            p = odd[which]
             yield idx, p, _divide(residual, idx, p)
 
 
@@ -295,9 +296,7 @@ def _primality(lo, hi, primes, first=None):
     ascending in ``primes``, strikes the t = first[i] (mod l) from
     first[i] on, the t with l | c + m*t and c + m*t >= l*l.  Without
     ``first``, the line c = 0, m = 1: each prime strikes from its
-    square, and 0 and 1 are cleared.  The primes below 1/STRIDE_RATIO
-    of the width strike strided views, the rest go in batches, as in
-    ``strike``."""
+    square, and 0 and 1 are cleared."""
     width = hi - lo
     flags = np.ones(width, dtype=np.bool_)
     if first is None:
@@ -307,11 +306,7 @@ def _primality(lo, hi, primes, first=None):
     primes, first = primes[keep], first[keep]
     # the offset of each prime's first strike in the window
     first = np.maximum(first, lo + (first - lo) % primes) - lo
-    split = int(np.searchsorted(primes, width // STRIDE_RATIO))
-    for p, s in zip(primes[:split].tolist(), first[:split].tolist()):
-        flags[s::p] = False
-    big, first = primes[split:], first[split:]
-    for _, idx in progressions(first, big, (width - first + big - 1) // big):
+    for idx, _ in multiples(first, primes, width):
         flags[idx] = False
     return flags
 
@@ -345,19 +340,13 @@ def _fixed_parts(num, den, idx):
     # num <= d(n) * den keep num//den plus three chained remainder shifts
     # (22 + 22 + 20 = 64 bits, each r << 22 below 2**63) in range.
     # Weights of the four parts: 2**64, 2**42, 2**20, 2**0.
-    n = num[idx]
     d = den[idx]
-    q0 = n // d
-    r = n % d
-    t = r << 22
-    q1 = t // d
-    r = t % d
-    t = r << 22
-    q2 = t // d
-    r = t % d
-    t = r << 20
-    q3 = t // d
-    return (int(q0.sum()) << 64) + (int(q1.sum()) << 42) + (int(q2.sum()) << 20) + int(q3.sum())
+    q, r = np.divmod(num[idx], d)
+    total = int(q.sum()) << 64
+    for shift, weight in ((22, 42), (22, 20), (20, 0)):
+        q, r = np.divmod(r << shift, d)
+        total += int(q.sum()) << weight
+    return total
 
 
 ACTIVE = SimpleNamespace(

@@ -210,6 +210,12 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits; keep main returning codes
         return int(exc.code or 0)
+    try:  # refused before a run that may be long; "a" truncates nothing
+        if ns.output:
+            open(ns.output, "a").close()
+    except OSError as exc:
+        _emit(_error_text(ns.format, f"cannot write {ns.output}: {exc.strerror}"), None)
+        return 2
     try:
         if ns.cmd == "verify":
             header, rows, json_obj, failed = _run_verify(ns)

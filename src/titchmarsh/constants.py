@@ -274,10 +274,9 @@ def _series_terms(lo, hi, k):
 
     A sieve for squarefree j: each base prime p <= isqrt(seg.hi - 1) of
     a window multiplies -p^2/(p^2 - p + 1) into the weights w and p into
-    the products prod at its multiples, the primes below width /
-    STRIDE_RATIO as strided views, the rest in batches from
-    ``_kernels.progressions``, so in ascending p at every j.  Then w is
-    zeroed at the multiples of each p^2.  The cofactor c = j / prod,
+    the products prod at its multiples, walked by ``_kernels.multiples``
+    (strided views, then batches), so in ascending p at every j; then w
+    is zeroed on the same walk of the p^2.  The cofactor c = j / prod,
     exact as a double below 2**53, is 1 or the one prime above the root,
     and multiplies last.  So every term is the same double as a product
     taken prime by prime in ascending order with the cofactor last; a
@@ -287,26 +286,20 @@ def _series_terms(lo, hi, k):
     for seg in iter_segments(lo, hi, _SERIES_WIDTH):
         width = seg.hi - seg.lo
         primes = base[: np.searchsorted(base, isqrt(seg.hi - 1), side="right")]
-        split = int(np.searchsorted(primes, width // _kernels.STRIDE_RATIO))
         w = np.ones(width)
         prod = np.ones(width)
-        for p in primes[:split].tolist():
-            s = -seg.lo % p
-            w[s::p] *= -(p * p / (p * p - p + 1.0))
-            prod[s::p] *= p
-        big = primes[split:]
-        first = -seg.lo % big
-        for which, idx in _kernels.progressions(first, big, (width - first + big - 1) // big):
-            p = big[which].astype(np.float64)
-            np.multiply.at(w, idx, -(p * p / (p * p - p + 1.0)))
-            np.multiply.at(prod, idx, p)
+        for idx, i in _kernels.multiples(-seg.lo % primes, primes, width):
+            if isinstance(idx, slice):
+                p = idx.step
+                w[idx] *= -(p * p / (p * p - p + 1.0))
+                prod[idx] *= p
+            else:
+                p = primes[i].astype(np.float64)
+                np.multiply.at(w, idx, -(p * p / (p * p - p + 1.0)))
+                np.multiply.at(prod, idx, p)
         square = primes * primes
-        first = -seg.lo % square
-        few = int(np.searchsorted(square, width))
-        for s, q in zip(first[:few].tolist(), square[:few].tolist()):
-            w[s::q] = 0.0
-        once = first[few:]  # p^2 > width: at most one multiple each
-        w[once[once < width]] = 0.0
+        for idx, _ in _kernels.multiples(-seg.lo % square, square, width):
+            w[idx] = 0.0
         live = np.flatnonzero(w)
         j = (live + seg.lo).astype(np.float64)
         c = (j / prod[live]).astype(np.int64)

@@ -22,7 +22,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _kernels
-from .sieve import Segment, _check_window, iter_segments, primes_up_to
+from .sieve import Segment, _check_at, _check_window, iter_segments, primes_up_to
 
 _PARAMETRIC = {"dk", "mu_k"}
 _TAGS = {"d", "dk", "unitary", "omega", "mu", "phi", "mu_k", "pillai"}
@@ -145,7 +145,7 @@ _RANGE_KINDS = {"d", "dk", "unitary", "omega", "mu"}
 
 def value_range(kind, lo, hi, base=None, at=None):
     """Values of an integer-valued kind over [lo, hi) as int64, or with
-    ``at``, an ascending int array of offsets, at the n = lo + at only.
+    ``at``, strictly ascending int offsets in [0, hi - lo), at n = lo + at.
 
     Kinds: d, dk, unitary, omega, mu.  ``base`` defaults to a fresh
     sieve reaching isqrt(hi - 1).
@@ -156,6 +156,7 @@ def value_range(kind, lo, hi, base=None, at=None):
     if base is None:
         base = primes_up_to(max(2, isqrt(seg.hi - 1)))
     _check_window(seg, base, 1)
+    _check_at(seg, at)
     impl = _kernels.ACTIVE
     # the kernels take ``at`` positionally
     args = (seg.lo, seg.hi, base.primes)
@@ -172,7 +173,7 @@ def value_range(kind, lo, hi, base=None, at=None):
 
 def pillai_range(lo, hi, base=None, at=None):
     """Numerator and denominator arrays of P(n) over [lo, hi), or with
-    ``at``, an ascending int array of offsets, at the n = lo + at only.
+    ``at``, strictly ascending int offsets in [0, hi - lo), at n = lo + at.
 
     Entries are the exact product forms (not reduced); num/den == P(n).
     """
@@ -180,6 +181,7 @@ def pillai_range(lo, hi, base=None, at=None):
     if base is None:
         base = primes_up_to(max(2, isqrt(seg.hi - 1)))
     _check_window(seg, base, 1)
+    _check_at(seg, at)
     return _kernels.ACTIVE.pillai(seg.lo, seg.hi, base.primes, at)
 
 

@@ -328,18 +328,18 @@ def _start(s, e, lo):
     return np.maximum(s * e, -(-lo // s) * s)
 
 
-def _views(qs, cs, cols, ncols, lo, hi, pi, g):
+def _views(qs, cs, cols, ncols, lo, hi, grid):
     """The strided views the count reads in the window [lo, hi), whose n
-    stand on the bitmap at r = (n - pi) / g (``_kernels._parity``): the
-    pairs (q, e) with stride s = q*e below 1/STRIDE_RATIO of the width,
-    each counting the n = 0 (mod s) from its start on, as the r from t
-    on at a stride u (``_kernels._on_bitmap``), merged by (column, u, t)
-    with their weights summed; the keys whose weights cancel, and the
-    views that miss the bitmap, are dropped.  Returns (offs, steps), the
-    distinct views hit[offs::steps], and (view, col, w): each surviving
-    key's view, column and weight."""
+    stand on the bitmap ``grid`` (``_kernels._grid``): the pairs (q, e)
+    with stride s = q*e below 1/STRIDE_RATIO of the width, each counting
+    the n = 0 (mod s) from its start on, as the r from t on at a stride
+    u (``_kernels._on_bitmap``), merged by (column, u, t) with their
+    weights summed; the keys whose weights cancel, and the views that
+    miss the bitmap, are dropped.  Returns (offs, steps), the distinct
+    views hit[offs::steps], and (view, col, w): each surviving key's
+    view, column and weight."""
     width = hi - lo
-    rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
+    pi, g, rlo, rhi, _ = grid
     qs, ecount = _pairs(qs, hi)
     last = np.minimum(ecount, (width // _kernels.STRIDE_RATIO - 1) // qs)
     keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -367,22 +367,20 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
     d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
     less the n = q*e*e itself.  When every n has one parity, as the n =
-    (p - a) / m of an odd class do, the bitmap holds only the integers
-    of that parity, half the window (``_kernels._parity``,
-    ``_kernels._on_bitmap``, the map the sparse strike reads).  Strides
-    below 1/STRIDE_RATIO of the width are strided views of the bitmap,
-    each distinct view read once for all the pairs that share it
+    (p - a) / m of an odd class do, the bitmap (``_kernels._grid``, the
+    sparse strike's map) holds only that parity, half the window.
+    Strides below 1/STRIDE_RATIO of the width are strided views of the
+    bitmap, each distinct view read once for all the pairs that share it
     (``_views``); the longer strides are expanded in batches, pair by
     pair.  No integer of the window is factored."""
     out = np.zeros(ncols, dtype=np.int64)
     if n.size == 0:
         return out
     width = hi - lo
-    pi, g = _kernels._parity(n)
-    rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
+    grid = pi, g, rlo, rhi, r = _kernels._grid(n, lo, hi)
     hit = np.zeros(rhi - rlo, dtype=np.bool_)
-    hit[(n - pi) // g - rlo] = True
-    (offs, steps), (view, col, w) = _views(qs, cs, cols, ncols, lo, hi, pi, g)
+    hit[r] = True
+    (offs, steps), (view, col, w) = _views(qs, cs, cols, ncols, lo, hi, grid)
     got = [np.count_nonzero(hit[o::st]) for o, st in zip(offs.tolist(), steps.tolist())]
     np.add.at(out, col, 2 * w * np.array(got, dtype=np.int64)[view])
     qs, ecount = _pairs(qs, hi)

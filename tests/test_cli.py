@@ -121,6 +121,18 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert _rows(path.read_text())[0]["sum"] == "31"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["missing/out.csv", "."])
+def test_unwritable_output_exits_2_before_the_run(tmp_path, capsys, monkeypatch, fmt, where):
+    # a missing directory and a directory itself; the sum never starts
+    path = str(tmp_path / where)
+    monkeypatch.setattr(cli, "shifted_prime_sum", lambda *a, **k: pytest.fail("the sum ran"))
+    code, out = _run(capsys, ["sum", "--fn", "d", "--x", "1000", "--format", fmt, "--output", path])
+    assert code == 2
+    message = json.loads(out)["error"] if fmt == "json" else _rows(out)[0]["error"]
+    assert message.startswith(f"cannot write {path}: ")
+
+
 def test_usage_error_exit_1(capsys):
     assert cli.main(["sum", "--fn", "bogus", "--a", "1", "--x", "20"]) == 1
     capsys.readouterr()

@@ -272,3 +272,30 @@ def test_evaluate_pillai_returns_reduced_rational():
         assert isinstance(v, Fraction)
         assert math.gcd(abs(v.numerator), v.denominator) == 1
         assert v.denominator >= 1
+
+
+_LONG_EVEN = np.arange(0, 120_000, 2)
+
+
+@pytest.mark.parametrize("lo, hi, at, fault", [
+    (1000, 1100, [3, 3, 5], "strictly ascending"),
+    (1000, 1100, [5, 3], "strictly ascending"),
+    (10**7, 10**7 + 2**20, np.sort(np.concatenate([_LONG_EVEN, _LONG_EVEN[:100]])), "strictly ascending"),
+    (10**7, 10**7 + 2**20, _LONG_EVEN[::-1], "strictly ascending"),
+    (1000, 1100, [100], r"\[0, 100\)"),
+    (1000, 1100, [-1], r"\[0, 100\)"),
+    (1000, 1100, [[1, 2]], "1-d"),
+    (1000, 1100, [1.5], "integer"),
+])
+def test_an_at_the_kernels_cannot_answer_is_refused(lo, hi, at, fault):
+    # the kernels trust ``at``: a repeat or a step back once read a wrong
+    # value or raised IndexError, as did an offset outside the window
+    with pytest.raises(ValueError, match=fault):
+        value_range(DIVISOR, lo, hi, at=at)
+    with pytest.raises(ValueError, match=fault):
+        pillai_range(lo, hi, at=at)
+
+
+def test_an_empty_or_edge_at_is_answered():
+    assert value_range(DIVISOR, 1000, 1100, at=[]).size == 0
+    assert value_range(DIVISOR, 1000, 1100, at=[0, 3, 99]).tolist() == [16, 4, 4]

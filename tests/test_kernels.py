@@ -368,3 +368,104 @@ def test_primality_near_2_39(width):
     lo = 2**39 - width // 2
     got = _kernels.ACTIVE.primality(lo, lo + width, _BASE.primes)
     assert np.array_equal(got, _prime_flags(lo, lo + width))
+
+
+def _naive_multiples(first, step, size):
+    # every (term, progression) with term = first[i] + t * step[i] < size
+    return sorted((f + t * s, i) for i, (f, s) in enumerate(zip(first, step)) for t in range(-(-(size - f) // s)))
+
+
+def _walked(first, step, size):
+    # (term, progression) pairs of ``multiples``, checking the shape of each item
+    terms = np.arange(size)
+    cut = int(np.searchsorted(step, size // _kernels.STRIDE_RATIO))
+    got = []
+    for idx, i in _kernels.multiples(np.array(first, dtype=np.int64), np.array(step, dtype=np.int64), size):
+        if isinstance(idx, slice):
+            assert i < cut and (idx.start, idx.step) == (first[i], step[i])
+            got += [(int(t), i) for t in terms[idx]]
+        else:
+            assert (which := np.asarray(i)).size == idx.size <= _kernels.BATCH_HITS
+            assert (which >= cut).all()
+            got += list(zip(idx.tolist(), which.tolist()))
+    return sorted(got)
+
+
+def _read(flags, first, step):
+    # (offset, progression) pairs of the one reader
+    got = []
+    for offs, which in _kernels._hits(flags, np.array(first, dtype=np.int64), np.array(step, dtype=np.int64)):
+        assert offs.size == which.size
+        got += list(zip(offs.tolist(), which.tolist()))
+    return sorted(got)
+
+
+@st.composite
+def _walks(draw):
+    size = draw(st.integers(1, 5000))
+    step = sorted(draw(st.lists(st.integers(1, 2 * size + 10), max_size=40)))
+    first = [draw(st.integers(0, max(size, s) - 1)) for s in step]
+    return first, step, size, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_walks())
+def test_multiples_and_the_reader_match_naive_enumeration(case):
+    first, step, size, seed = case
+    want = _naive_multiples(first, step, size)
+    assert _walked(first, step, size) == want
+    flags = np.random.default_rng(seed).random(size) < 0.5
+    assert _read(flags, first, step) == [(t, i) for t, i in want if flags[t]]
+
+
+@pytest.mark.parametrize("first, step, size", [
+    ([], [], 1000),  # empty inputs
+    ([0, 3, 15], [7, 15, 16], 1024),  # 16 = size // STRIDE_RATIO is batched, 15 strided
+    ([5, 900], [2000, 5000], 1000),  # steps larger than size, one term or none
+    ([0, 1, 2], [1, 3, 40], 63),  # size < STRIDE_RATIO: every step batched
+    ([0, 1], [1, 2], _kernels.BATCH_HITS + 7),  # views longer than BATCH_HITS
+])
+def test_multiples_and_the_reader_edges(first, step, size):
+    want = _naive_multiples(first, step, size)
+    assert _walked(first, step, size) == want
+    flags = np.arange(size) % 3 != 1
+    assert _read(flags, first, step) == [(t, i) for t, i in want if flags[t]]
+    assert _read(np.ones(size, dtype=np.bool_), first, step) == want
+
+
+def test_one_long_progression_is_split_into_chunks():
+    # multiples() sends every progression longer than BATCH_HITS to a
+    # strided view (the edges above); progressions() itself splits one
+    size = 3 * _kernels.BATCH_HITS
+    first, step = np.array([0]), np.array([1])
+    chunks = list(_kernels.progressions(first, step, np.array([size])))
+    assert len(chunks) == 3 and all(idx.size == _kernels.BATCH_HITS for _, idx in chunks)
+    assert np.array_equal(np.concatenate([idx for _, idx in chunks]), np.arange(size))
+
+
+@pytest.mark.parametrize("lo, hi", [(10, 30), (11, 31), (1, 2), (2**39, 2**39 + 1001)])
+def test_grid_maps_each_parity_onto_its_bitmap(lo, hi):
+    window = np.arange(lo, hi, dtype=np.int64)
+    cases = [(window[window % 2 == pi], (pi, 2)) for pi in (0, 1) if (window % 2 == pi).any()]
+    cases += [(window[:1], (lo % 2, 2))] + ([(window, (0, 1))] if window.size > 1 else [])
+    for n, (pi, g) in cases:
+        got_pi, got_g, rlo, rhi, r = _kernels._grid(n, lo, hi)
+        assert (got_pi, got_g) == (pi, g)
+        # the bitmap holds exactly the integers of the window with n = pi (mod g)
+        on = window[window % g == pi]
+        assert rhi - rlo == on.size
+        assert np.array_equal((on - pi) // g - rlo, np.arange(on.size))
+        assert np.array_equal(r, (n - pi) // g - rlo)
+
+
+@pytest.mark.parametrize("lo, width", [(10**8, 1 << 14), (2**39, 4096), (1, 1000)])
+def test_dense_strike_yields_its_primes_ascending(lo, width):
+    # factorize_range's rows list their primes in the order of the strike
+    primes = _BASE.primes[: np.searchsorted(_BASE.primes, isqrt(lo + width - 1), side="right")]
+    residual = np.arange(lo, lo + width, dtype=np.int64)
+    seen = [np.broadcast_to(p, e.shape) for _, p, e in _kernels._strike_dense(lo, width, primes, residual)]
+    order = np.concatenate(seen)
+    assert (np.diff(order) >= 0).all()
+    # both the strided views and the batches took part
+    cut = width // _kernels.STRIDE_RATIO
+    assert (order < cut).any() and (order >= cut).any()

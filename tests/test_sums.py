@@ -649,9 +649,10 @@ def test_divisor_count_merges_one_stride_by_its_start(e):
     qs, cols = np.array([1, 4]), np.zeros(2, dtype=np.int64)
     for lo, views in ((4 * e * e + 1, 2), (16 * e * e, 0)):
         hi = lo + 64 * (4 * e + 1) + 3  # s = 4e is below 1/64 of the width
-        (_, steps), _ = titchmarsh.sums._views(qs, np.array([1, -1]), cols, 1, lo, hi, 0, 1)
-        assert (steps == 4 * e).sum() == views
         n = np.arange(lo, hi, dtype=np.int64)
+        grid = _kernels._grid(n, lo, hi)  # both parities: g = 1
+        (_, steps), _ = titchmarsh.sums._views(qs, np.array([1, -1]), cols, 1, lo, hi, grid)
+        assert (steps == 4 * e).sum() == views
         for dense in (n, n[n % 3 != 1]):
             _check_count([1, 4], [1, -1], lo, hi, dense)
             _check_count([1, 4], [1, 1], lo, hi, dense)

@@ -133,7 +133,7 @@ def window_rows(plo, a, width, runs):
     seg, cls = _odd_window(plo, phi, a, base.primes)
     p, _ = _eligible_primes(seg, cls, a)
     n = p - a
-    parity = _kernels._parity(n)
+    grid = _kernels._grid(n, lo, hi)
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
     # one column, as the sums count them
     d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
@@ -151,7 +151,7 @@ def window_rows(plo, a, width, runs):
         "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
-        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi, *parity)[0][0].size / (hi - lo),
+        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi, grid)[0][0].size / (hi - lo),
     }
 
 
