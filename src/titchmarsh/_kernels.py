@@ -19,8 +19,9 @@ at the eligible n only.  Whole-window tables pass no ``at``.
 Every walk of base primes through a window splits the progressions
 first[i] + t * step[i] of ascending steps in one place: ``multiples``
 yields the steps below 1/STRIDE_RATIO of the window as strided views
-and the rest in batches from ``progressions``, and ``_hits`` reads a
-bitmap on the same walk, its views concatenated into batches.
+and the rest in batches from ``progressions``; two readers of a bitmap
+make the same split: ``_hits`` yields the set entries, its views
+concatenated into batches, and ``_counts`` counts them per progression.
 
 The strike yields a slice of the window with an int p (the dense
 strike's strided views), or an index array with an array of primes of
@@ -34,7 +35,8 @@ them, by a divisibility test of the residuals, which reads fewer
 integers than their strides through the bitmap; and the rest through
 ``_hits``, at stride p in r from the first n >= lo with p | n and n =
 pi (mod g) (``_on_bitmap``).  The hyperbola count of ``sums`` reads its
-n through the same map.  The dense strike keeps the primes ascending.
+n through the same map, with ``_counts``.  The dense strike keeps the
+primes ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
@@ -128,6 +130,27 @@ def _hits(flags, first, step):
     for which, offs in progressions(first, step, counts):
         keep = np.flatnonzero(flags[offs])
         yield offs[keep], which[keep]
+
+
+def _tally(out, which):
+    # out[which[t]] += 1 for every t; which is ascending
+    if which.size:
+        first = int(which[0])
+        c = np.bincount(which - first)
+        out[first : first + c.size] += c
+
+
+def _counts(flags, first, step):
+    """The number of true entries of flags on each progression first[i] +
+    t * step[i] of ``multiples`` with size = flags.size: the strided views
+    are counted one by one, the batches tallied."""
+    cut, counts = _split(first, step, flags.size)
+    out = np.zeros(first.size, dtype=np.int64)
+    out[:cut] = [np.count_nonzero(flags[o::s]) for o, s in zip(first[:cut].tolist(), step[:cut].tolist())]
+    counts[:cut] = 0
+    for which, offs in progressions(first, step, counts):
+        _tally(out, which[flags[offs]])
+    return out
 
 
 def _divide(residual, idx, p):

@@ -21,12 +21,12 @@ e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
 by q is a count of the n on the window's bitmap in the progressions
 0 (mod q*e) above q*e*e (``_divisor_counts``).  Each modulus q comes
 with a weight and an output column, and the count returns the column
-sums.  The pairs (q, e) with short strides that read the same view of
-the bitmap are merged first, their weights summed, so each distinct
-view is read once and a view whose weights cancel is not read at all
-(for dk2 the weights mu(j) of the pairs at a stride s sum to mu(s)**2
-where they share a start, so the views at a stride that is not
-squarefree cancel).  Where the n of a window have one parity, the
+sums.  The pairs (q, e) that read the same view of the bitmap are
+merged first, their weights summed, so each distinct view is read once
+and a view whose weights cancel is not read at all (for dk2 the
+weights mu(j) of the pairs at a stride s sum to mu(s)**2 where they
+share a start, so the views at a stride that is not squarefree
+cancel).  Where the n of a window have one parity, the
 bitmap holds only that parity, half the window.  Counted this way:
 
 - ``decompose``: each S1 modulus q = m in a column of its own, weight
@@ -300,63 +300,18 @@ def _isqrt_array(v):
     return r
 
 
-def _tally(out, which, times):
-    # out[which[t]] += times for every t; which is ascending
-    if which.size:
-        first = int(which[0])
-        c = np.bincount(which - first)
-        out[first : first + c.size] += times * c
-
-
 def _pairs(qs, hi):
     # the moduli q < hi and, for each, the number of e with q*e*e < hi
     qs = qs[: np.searchsorted(qs, hi)]
     return qs, _isqrt_array((hi - 1) // qs)
 
 
-def _pair_runs(qs, first, last):
-    # the pairs (q, e) = (qs[i], e) with first[i] <= e <= last[i], in
-    # chunks of at most BATCH_HITS: (which, s = q*e, e), which ascending
-    counts = np.maximum(last - first + 1, 0)
-    for which, e in _kernels.progressions(first, np.ones_like(first), counts):
+def _pair_runs(qs, last):
+    # the pairs (q, e) = (qs[i], e) with 1 <= e <= last[i], in chunks of
+    # at most BATCH_HITS: (which, s = q*e, e), which ascending
+    ones = np.ones_like(last)
+    for which, e in _kernels.progressions(ones, ones, last):
         yield which, qs[which] * e, e
-
-
-def _start(s, e, lo):
-    # the first n >= lo counted for the pair with stride s: n = 0 (mod s)
-    # and n >= s*e
-    return np.maximum(s * e, -(-lo // s) * s)
-
-
-def _views(qs, cs, cols, ncols, lo, hi, grid):
-    """The strided views the count reads in the window [lo, hi), whose n
-    stand on the bitmap ``grid`` (``_kernels._grid``): the pairs (q, e)
-    with stride s = q*e below 1/STRIDE_RATIO of the width, each counting
-    the n = 0 (mod s) from its start on, as the r from t on at a stride
-    u (``_kernels._on_bitmap``), merged by (column, u, t) with their
-    weights summed; the keys whose weights cancel, and the views that
-    miss the bitmap, are dropped.  Returns (offs, steps), the distinct
-    views hit[offs::steps], and (view, col, w): each surviving key's
-    view, column and weight."""
-    width = hi - lo
-    pi, g, rlo, rhi, _ = grid
-    qs, ecount = _pairs(qs, hi)
-    last = np.minimum(ecount, (width // _kernels.STRIDE_RATIO - 1) // qs)
-    keys, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for which, s, e in _pair_runs(qs, np.ones_like(qs), last):
-        t, u, on = _kernels._on_bitmap(s, _start(s, e, lo), pi, g)
-        on &= t < rhi
-        # the key of (column, u, t) is below width**2 / STRIDE_RATIO *
-        # ncols: under 2**55 for the sweep's widths (at most 2**20) and
-        # numbers of moduli (under 2**21)
-        keys.append((u[on] * width + t[on] - rlo) * ncols + cols[which[on]])
-        weights.append(cs[which[on]])
-    key, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    w = np.zeros(key.size, dtype=np.int64)
-    np.add.at(w, inv, np.concatenate(weights))
-    key, w = key[w != 0], w[w != 0]
-    views, view = np.unique(key // ncols, return_inverse=True)
-    return (views % width, views // width), (view, key % ncols, w)
 
 
 def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
@@ -368,41 +323,55 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
     less the n = q*e*e itself.  When every n has one parity, as the n =
     (p - a) / m of an odd class do, the bitmap (``_kernels._grid``, the
-    sparse strike's map) holds only that parity, half the window.
-    Strides below 1/STRIDE_RATIO of the width are strided views of the
-    bitmap, each distinct view read once for all the pairs that share it
-    (``_views``); the longer strides are expanded in batches, pair by
-    pair.  No integer of the window is factored."""
+    sparse strike's map) holds only that parity, half the window.  Each
+    pair counts the r from t on at a stride u (``_kernels._on_bitmap``),
+    and each square is a view of one entry, at u = size.  So each batch
+    of at most BATCH_HITS pairs keys its views and squares by (u, t,
+    column), u capped at the bitmap's size (a longer stride reads one
+    entry too), sums the weights of each key, and reads each distinct
+    view once with ``_kernels._counts``; a key whose weights cancel is
+    not read.  No integer of the window is factored."""
     out = np.zeros(ncols, dtype=np.int64)
     if n.size == 0:
         return out
-    width = hi - lo
-    grid = pi, g, rlo, rhi, r = _kernels._grid(n, lo, hi)
-    hit = np.zeros(rhi - rlo, dtype=np.bool_)
+    pi, g, rlo, rhi, r = _kernels._grid(n, lo, hi)
+    size = rhi - rlo
+    hit = np.zeros(size, dtype=np.bool_)
     hit[r] = True
-    (offs, steps), (view, col, w) = _views(qs, cs, cols, ncols, lo, hi, grid)
-    got = [np.count_nonzero(hit[o::st]) for o, st in zip(offs.tolist(), steps.tolist())]
-    np.add.at(out, col, 2 * w * np.array(got, dtype=np.int64)[view])
     qs, ecount = _pairs(qs, hi)
-    per_q = np.zeros(qs.size, dtype=np.int64)
-    # the squares q*e*e >= lo of the parity of the n, once each
-    for which, s, e in _pair_runs(qs, _isqrt_array((lo - 1) // qs) + 1, ecount):
-        sq = s * e - pi
-        on = sq % g == 0
-        _tally(per_q, which[on][hit[sq[on] // g - rlo]], -1)
-    # the strides from 1/STRIDE_RATIO of the width on, expanded
-    first = np.maximum(0, (width // _kernels.STRIDE_RATIO - 1) // qs) + 1
-    for which, s, e in _pair_runs(qs, first, ecount):
-        start = _start(s, e, lo)
-        near = start < hi
-        which, s = which[near], s[near]
-        t, u, on = _kernels._on_bitmap(s, start[near], pi, g)
-        count = (rhi - 1 - t) // u + 1
-        big = on & (count > 0)
-        wbig = which[big]
-        for j, idx in _kernels.progressions(t[big] - rlo, u[big], count[big]):
-            _tally(per_q, wbig[j[hit[idx]]], 2)
-    np.add.at(out, cols[: qs.size], cs[: qs.size] * per_q)
+    for which, s, e in _pair_runs(qs, ecount):
+        # the pairs with an n = 0 (mod s), n >= max(s*e, lo), below hi
+        sq = s * e
+        start = np.maximum(sq, -(-lo // s) * s)
+        near = np.flatnonzero(start < hi)
+        which, s, sq, start = which[near], s[near], sq[near], start[near]
+        t, u, on = _kernels._on_bitmap(s, start, pi, g)
+        on = np.flatnonzero(on & (t < rhi))
+        # the squares s*e >= lo of the parity of the n
+        top = np.flatnonzero(sq >= lo)
+        top = top[sq[top] % g == pi]
+        # the key of (u, t, column) is below size**2 * ncols: under 2**62
+        # for the sweep's windows (at most 2**20 + 1 wide) and numbers of
+        # moduli (under 2**21)
+        u = np.minimum(u[on], size)
+        key = np.concatenate([u * size + t[on], (sq[top] - pi) // g + size * size]) - rlo
+        at = np.concatenate([which[on], which[top]])
+        key = key * ncols + cols[at]
+        w = cs[at] * np.repeat([2, -1], [on.size, top.size])
+        # the weights summed per key, the keys that cancel dropped
+        order = np.argsort(key)
+        key = key[order]
+        head = np.flatnonzero(np.diff(key, prepend=-1))
+        key, w = key[head], np.add.reduceat(w[order], head)
+        keep = np.flatnonzero(w)
+        key, w = key[keep], w[keep]
+        # the distinct views, ascending in u, and the view of each key
+        views = key // ncols
+        new = np.diff(views, prepend=-1) != 0
+        view = np.cumsum(new) - 1
+        views = views[new]
+        got = _kernels._counts(hit, views % size, views // size)
+        np.add.at(out, key % ncols, w * got[view])
     return out
 
 
@@ -421,11 +390,11 @@ def _divisor_weights(kind, nmax):
 
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk, whose pairs
-# with short strides share views (``_views``): on the half-width bitmap
-# of an odd class dk2 reads 0.28 views per pair near 2*10**6, 0.19 near
-# 10**7.  The factor route strikes only the eligible n, on the same
-# half-width bitmap, so it costs nearly the same in every 2**20 window,
-# 10-20 ms from 10**6 to 10**10.  Count over factor time per 2**20
+# share views (``_divisor_counts``): on the half-width bitmap of an odd
+# class dk2 reads 0.53 views per pair near 2*10**6, 0.39 near 10**7,
+# squares included.  The factor route strikes only the eligible n, on
+# the same half-width bitmap, so it costs nearly the same in every 2**20
+# window, 10-20 ms from 10**6 to 10**10.  Count over factor time per 2**20
 # window of p, against pairs / width (the two alternated in one process,
 # one thread, medians of 15, BENCH_18.json): d 0.29 at 0.0017 (near
 # 2*10**6), 0.37 at 0.0032 (10**7), 0.46 at 0.0044 (2*10**7), 0.85 at

@@ -418,19 +418,45 @@ def test_multiples_and_the_reader_match_naive_enumeration(case):
     assert _read(flags, first, step) == [(t, i) for t, i in want if flags[t]]
 
 
-@pytest.mark.parametrize("first, step, size", [
+_EDGES = [
     ([], [], 1000),  # empty inputs
     ([0, 3, 15], [7, 15, 16], 1024),  # 16 = size // STRIDE_RATIO is batched, 15 strided
     ([5, 900], [2000, 5000], 1000),  # steps larger than size, one term or none
     ([0, 1, 2], [1, 3, 40], 63),  # size < STRIDE_RATIO: every step batched
     ([0, 1], [1, 2], _kernels.BATCH_HITS + 7),  # views longer than BATCH_HITS
-])
+    ([0, 999, 3], [1000, 1000, 1500], 1000),  # steps from size on, one term each
+]
+
+
+@pytest.mark.parametrize("first, step, size", _EDGES)
 def test_multiples_and_the_reader_edges(first, step, size):
     want = _naive_multiples(first, step, size)
     assert _walked(first, step, size) == want
     flags = np.arange(size) % 3 != 1
     assert _read(flags, first, step) == [(t, i) for t, i in want if flags[t]]
     assert _read(np.ones(size, dtype=np.bool_), first, step) == want
+
+
+def _check_counts(flags, first, step):
+    # _counts against the true flags on the naive enumeration
+    want = [0] * len(first)
+    for t, i in _naive_multiples(first, step, flags.size):
+        want[i] += int(flags[t])
+    got = _kernels._counts(flags, np.array(first, dtype=np.int64), np.array(step, dtype=np.int64))
+    assert got.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_walks())
+def test_counts_match_naive_enumeration(case):
+    first, step, size, seed = case
+    _check_counts(np.random.default_rng(seed).random(size) < 0.5, first, step)
+
+
+@pytest.mark.parametrize("first, step, size", _EDGES)
+def test_counts_edges(first, step, size):
+    for flags in (np.arange(size) % 3 != 1, np.ones(size, dtype=np.bool_), np.zeros(size, dtype=np.bool_)):
+        _check_counts(flags, first, step)
 
 
 def test_one_long_progression_is_split_into_chunks():

@@ -640,22 +640,71 @@ def test_divisor_count_edges(lo, hi, n):
     _check_count([1, 4], [1, -1], lo, hi, n)
 
 
+def _recorded_views(monkeypatch):
+    # the views (first, step) that each _kernels._counts call reads
+    calls = []
+    counts = _kernels._counts
+
+    def record(flags, first, step):
+        calls.append(list(zip(first.tolist(), step.tolist())))
+        return counts(flags, first, step)
+
+    monkeypatch.setattr(_kernels, "_counts", record)
+    return calls
+
+
 @pytest.mark.parametrize("e", [1, 2, 3, 5])
-def test_divisor_count_merges_one_stride_by_its_start(e):
+def test_divisor_count_merges_one_stride_by_its_start(monkeypatch, e):
     # q = 1 at 4e and q = 4 at e share the stride s = 4e; the first
     # starts at 16e*e, the second at the first multiple of s from
     # max(lo, 4e*e).  For 4e*e < lo < 16e*e they read two views; from
     # lo = 16e*e on, one, which weights +1 and -1 cancel
+    calls = _recorded_views(monkeypatch)
     qs, cols = np.array([1, 4]), np.zeros(2, dtype=np.int64)
     for lo, views in ((4 * e * e + 1, 2), (16 * e * e, 0)):
         hi = lo + 64 * (4 * e + 1) + 3  # s = 4e is below 1/64 of the width
-        n = np.arange(lo, hi, dtype=np.int64)
-        grid = _kernels._grid(n, lo, hi)  # both parities: g = 1
-        (_, steps), _ = titchmarsh.sums._views(qs, np.array([1, -1]), cols, 1, lo, hi, grid)
-        assert (steps == 4 * e).sum() == views
+        n = np.arange(lo, hi, dtype=np.int64)  # both parities: g = 1
+        calls.clear()
+        titchmarsh.sums._divisor_counts(qs, np.array([1, -1]), cols, 1, lo, hi, n)
+        assert sum(step == 4 * e for call in calls for _, step in call) == views
         for dense in (n, n[n % 3 != 1]):
             _check_count([1, 4], [1, -1], lo, hi, dense)
             _check_count([1, 4], [1, 1], lo, hi, dense)
+
+
+@pytest.mark.parametrize("e, width", [(5, 600), (200, 1000), (300, 1000)])
+def test_divisor_count_merges_a_long_stride_by_its_start(monkeypatch, e, width):
+    # q = 1 at 4e and q = 4 at e share the stride s = 4e >= width /
+    # STRIDE_RATIO (at e = 300, s > width: a view of one entry), and from
+    # lo >= 16e*e on both start at the first multiple of s, lo + 10; with
+    # weights +1 and -1 that view is not read, with +1 and +1 it is
+    calls = _recorded_views(monkeypatch)
+    s = 4 * e
+    lo = (16 * e * e // s + 1) * s - 10
+    hi = lo + width
+    assert s >= width // _kernels.STRIDE_RATIO
+    qs, cols = np.array([1, 4]), np.zeros(2, dtype=np.int64)
+    for n in (np.arange(lo, hi, dtype=np.int64), np.arange(lo, hi, 3, dtype=np.int64)):
+        view = (10, min(s, width))  # both parities: g = 1, the bitmap is the window
+        for cs, read in (([1, -1], False), ([1, 1], True)):
+            calls.clear()
+            titchmarsh.sums._divisor_counts(qs, np.array(cs), cols, 1, lo, hi, n)
+            assert any(view in call for call in calls) == read
+            _check_count([1, 4], cs, lo, hi, n)
+
+
+def test_a_window_of_many_pairs_is_counted_batch_by_batch(monkeypatch):
+    # d near 2**40 has 2**20 - 1 pairs, 16 batches of BATCH_HITS: no read
+    # gets more than a batch's pairs and squares
+    calls = _recorded_views(monkeypatch)
+    lo, hi = 2**40 - 2**12, 2**40
+    one = np.ones(1, dtype=np.int64)
+    assert titchmarsh.sums._pairs(one, hi)[1].sum() > _kernels.BATCH_HITS
+    for n in (np.arange(lo + 1, hi, 2, dtype=np.int64), np.arange(lo, hi, 5, dtype=np.int64)):
+        calls.clear()
+        [got] = titchmarsh.sums._divisor_counts(one, one, np.zeros(1, dtype=np.int64), 1, lo, hi, n)
+        assert len(calls) > 1 and max(map(len, calls)) <= 2 * _kernels.BATCH_HITS
+        assert got == int(value_range(DIVISOR, lo, hi)[n - lo].sum())
 
 
 @pytest.mark.parametrize("kind", [DIVISOR, k_free_divisor(2), k_free_divisor(3), UNITARY_DIVISOR])

@@ -36,9 +36,10 @@ Rows, each the median of N runs (default 5) on one thread:
   d / dk2 pairs/int  the count's pairs (q, e) per integer of the window;
                      the sums count a window when this is at most
                      1 / sums._COUNT_REACH
-  dk2 views/int      the distinct strided views of the bitmap the dk2
-                     count reads per integer (sums._views): the pairs
-                     with short strides, merged, less those that cancel
+  dk2 views/int      the distinct views of the bitmap the dk2 count
+                     reads per integer, as its _kernels._counts calls
+                     get them: the pairs that reach the window and its
+                     squares, merged, less those whose weights cancel
 
 --json prints one JSON object {point: {row: value}} instead of the table.
 """
@@ -62,7 +63,6 @@ from titchmarsh.sums import (
     _factor_part,
     _pairs,
     _value_part,
-    _views,
 )
 
 DK2 = k_free_divisor(2)
@@ -125,6 +125,22 @@ def _felix_rows(plo, a, width, runs):
     return {"felix line": _ms(line, runs), "felix class": _ms(over_the_class, runs)}
 
 
+def _views_read(qs, cs, cols, lo, hi, n):
+    # the distinct views (first, step) that the count's _kernels._counts calls read
+    views, counts = set(), _kernels._counts
+
+    def record(flags, first, step):
+        views.update(zip(first.tolist(), step.tolist()))
+        return counts(flags, first, step)
+
+    _kernels._counts = record
+    try:
+        _divisor_counts(qs, cs, cols, 1, lo, hi, n)
+    finally:
+        _kernels._counts = counts
+    return len(views)
+
+
 def window_rows(plo, a, width, runs):
     """{row: value} for the prime window [plo, plo + width) and shift a."""
     phi = plo + width
@@ -133,7 +149,6 @@ def window_rows(plo, a, width, runs):
     seg, cls = _odd_window(plo, phi, a, base.primes)
     p, _ = _eligible_primes(seg, cls, a)
     n = p - a
-    grid = _kernels._grid(n, lo, hi)
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
     # one column, as the sums count them
     d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
@@ -151,7 +166,7 @@ def window_rows(plo, a, width, runs):
         "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
-        "dk2 views/int": _views(k_q, k_c, k_col, 1, lo, hi, grid)[0][0].size / (hi - lo),
+        "dk2 views/int": _views_read(k_q, k_c, k_col, lo, hi, n) / (hi - lo),
     }
 
 
