@@ -34,8 +34,8 @@ len(at), size / BATCH_HITS) and size / STRIDE_RATIO, about log x of
 them, by a divisibility test of the residuals, which reads fewer
 integers than their strides through the bitmap; and the rest through
 ``_hits``, at stride p in r from the first n >= lo with p | n and n =
-pi (mod g) (``_on_bitmap``).  The hyperbola count of ``sums`` reads its
-n through the same map, with ``_counts``.  The dense strike keeps the
+pi (mod g) (``_on_bitmap``).  The hyperbola count of ``sums`` reads the
+same bitmap, with ``_counts``.  The dense strike keeps the
 primes ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
@@ -219,14 +219,17 @@ def _strike_dense(lo, width, primes, residual):
 
 
 def _grid(n, lo, hi):
-    """(pi, g, rlo, rhi, r): the bitmap of the n in the window [lo, hi)
-    holds r = (n - pi) / g - rlo, at offsets below rhi - rlo, over half
-    the integers when every n has the parity pi (g = 2), over all of them
-    (g = 1, pi = 0) when the n have both."""
+    """(pi, g, rlo, r, hit): the bitmap hit of the n in the window [lo,
+    hi) is set at r = (n - pi) / g - rlo, over half the integers when
+    every n has the parity pi (g = 2), over all of them (g = 1, pi = 0)
+    when the n have both."""
     odd = np.count_nonzero(n & 1)
     pi, g = (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
-    rlo, rhi = -((pi - lo) // g), -((pi - hi) // g)
-    return pi, g, rlo, rhi, (n - pi) // g - rlo
+    rlo = -((pi - lo) // g)
+    r = (n - pi) // g - rlo
+    hit = np.zeros(-((pi - hi) // g) - rlo, dtype=np.bool_)
+    hit[r] = True
+    return pi, g, rlo, r, hit
 
 
 def _on_bitmap(s, start, pi, g):
@@ -249,17 +252,17 @@ def _on_bitmap(s, start, pi, g):
 
 def _strike_sparse(lo, hi, primes, at, residual):
     # the three groups of the module docstring, each in a few array
-    # passes rather than one Python iteration per prime
+    # passes rather than one Python iteration per prime.  The bitmap
+    # groups run first and free the bitmap and its maps before the
+    # residual group makes its temporaries, the largest of the strike,
+    # so the two are never held at once.
     if not (at.size and primes.size):
         return
-    pi, g, rlo, rhi, r = _grid(residual, lo, hi)
-    size = rhi - rlo
+    pi, g, rlo, r, hit = _grid(residual, lo, hi)
+    size = hit.size
     # the residual group ends where the strided views begin, or earlier
     few = max(-(-size // at.size), -(-size // BATCH_HITS))
     mid = max(1, int(np.searchsorted(primes, min(few, size // STRIDE_RATIO))))
-    yield from _strike_residuals(residual, primes[1:mid].tolist())
-    hit = np.zeros(size, dtype=np.bool_)
-    hit[r] = True
     # bitmap offset -> index into at, read only at the offsets in r: the
     # first index of its 2**16 block plus a uint16 rank in the block,
     # half the memory of an int32 map
@@ -274,14 +277,15 @@ def _strike_sparse(lo, hi, primes, at, residual):
             idx = block[offs >> 16] + rank[offs]
             p = odd[which]
             yield idx, p, _divide(residual, idx, p)
+    del r, hit, block, rank
+    yield from _strike_residuals(residual, primes[1:mid].tolist())
 
 
 def _strike_residuals(residual, small):
     # p = 2 from the lowest set bit of r, at most 2**41, so exact as a
     # double; then each odd prime in ``small`` by a divisibility test of
     # the residuals, by a floor division (several times faster than a
-    # modulo by a scalar), and ``_divide``.  A generator of its own, so
-    # that its temporaries are freed before the bitmap groups run.
+    # modulo by a scalar), and ``_divide``.
     low = residual & -residual
     idx = np.flatnonzero(low > 1)
     if idx.size:

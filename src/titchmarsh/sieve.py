@@ -33,9 +33,10 @@ class PrimeList:
         return int(self.primes.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
-    """Half-open window [lo, hi) of consecutive integers, 0 < lo < hi."""
+    """Half-open window [lo, hi) of consecutive integers, 0 < lo < hi;
+    slotted, since a sweep lists up to MAX_SEGMENTS of them."""
 
     lo: int
     hi: int

@@ -57,6 +57,7 @@ error is below x * 2**-64, invisible at double precision.
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -104,12 +105,20 @@ def _resolve_workers(workers):
 
 
 def _run_ordered(jobs, fn, workers):
-    # ex.map yields results in submission order regardless of completion
-    # order, so the reduction downstream is deterministic
+    # the results in job order whatever the order of completion, so the
+    # reduction downstream is deterministic; at most 4 jobs per worker
+    # are in flight, so a sweep of 2**20 windows holds a few futures,
+    # not one per window (submitted at once, they held gigabytes)
     if workers == 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    out, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs))
+        for j in jobs:
+            if len(pending) == 4 * workers:
+                out.append(pending.popleft().result())
+            pending.append(ex.submit(fn, j))
+        out.extend(f.result() for f in pending)
+    return out
 
 
 def default_checkpoints(x):
@@ -306,14 +315,6 @@ def _pairs(qs, hi):
     return qs, _isqrt_array((hi - 1) // qs)
 
 
-def _pair_runs(qs, last):
-    # the pairs (q, e) = (qs[i], e) with 1 <= e <= last[i], in chunks of
-    # at most BATCH_HITS: (which, s = q*e, e), which ascending
-    ones = np.ones_like(last)
-    for which, e in _kernels.progressions(ones, ones, last):
-        yield which, qs[which] * e, e
-
-
 def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
     """out[c] = the sum of cs[i] * d(n / qs[i]) over the moduli i with
     cols[i] = c and the n divisible by qs[i], for ascending moduli qs and
@@ -322,8 +323,8 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
     d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
     less the n = q*e*e itself.  When every n has one parity, as the n =
-    (p - a) / m of an odd class do, the bitmap (``_kernels._grid``, the
-    sparse strike's map) holds only that parity, half the window.  Each
+    (p - a) / m of an odd class do, the bitmap (``_kernels._grid``, which
+    the sparse strike reads too) holds only that parity, half the window.  Each
     pair counts the r from t on at a stride u (``_kernels._on_bitmap``),
     and each square is a view of one entry, at u = size.  So each batch
     of at most BATCH_HITS pairs keys its views and squares by (u, t,
@@ -334,19 +335,21 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
     out = np.zeros(ncols, dtype=np.int64)
     if n.size == 0:
         return out
-    pi, g, rlo, rhi, r = _kernels._grid(n, lo, hi)
-    size = rhi - rlo
-    hit = np.zeros(size, dtype=np.bool_)
-    hit[r] = True
+    pi, g, rlo, _, hit = _kernels._grid(n, lo, hi)
+    size = hit.size
     qs, ecount = _pairs(qs, hi)
-    for which, s, e in _pair_runs(qs, ecount):
-        # the pairs with an n = 0 (mod s), n >= max(s*e, lo), below hi
+    ones = np.ones_like(ecount)
+    # the pairs (q, e) = (qs[which], e), 1 <= e <= ecount[which], in
+    # batches of at most BATCH_HITS, which ascending
+    for which, e in _kernels.progressions(ones, ones, ecount):
+        s = qs[which] * e
         sq = s * e
+        # the pairs with an n = 0 (mod s), n >= max(s*e, lo), below hi
         start = np.maximum(sq, -(-lo // s) * s)
         near = np.flatnonzero(start < hi)
         which, s, sq, start = which[near], s[near], sq[near], start[near]
         t, u, on = _kernels._on_bitmap(s, start, pi, g)
-        on = np.flatnonzero(on & (t < rhi))
+        on = np.flatnonzero(on & (t < rlo + size))
         # the squares s*e >= lo of the parity of the n
         top = np.flatnonzero(sq >= lo)
         top = top[sq[top] % g == pi]
@@ -390,24 +393,16 @@ def _divisor_weights(kind, nmax):
 
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk, whose pairs
-# share views (``_divisor_counts``): on the half-width bitmap of an odd
-# class dk2 reads 0.53 views per pair near 2*10**6, 0.39 near 10**7,
-# squares included.  The factor route strikes only the eligible n, on
-# the same half-width bitmap, so it costs nearly the same in every 2**20
-# window, 10-20 ms from 10**6 to 10**10.  Count over factor time per 2**20
-# window of p, against pairs / width (the two alternated in one process,
-# one thread, medians of 15, BENCH_18.json): d 0.29 at 0.0017 (near
-# 2*10**6), 0.37 at 0.0032 (10**7), 0.46 at 0.0044 (2*10**7), 0.85 at
-# 0.0096 (10**8), 1.08 at 0.017 (3*10**8), 1.56 at 0.030 (10**9), 2.90
-# at 0.095 (10**10); dk2 0.38 at 0.0089 (2*10**6), 0.58 at 0.018
-# (10**7), 0.74 at 0.026 (2*10**7), 1.21 at 0.061 (10**8), 2.27 at 0.11
-# (3*10**8).  The two cross near 0.014 pairs per integer for d and 0.04
-# for dk2, which would make the reach 25-70.  At 100, tracking's dk2
-# windows above about 3.5*10**6 were factored, its wall time fell but
-# its peak memory rose by 3.5 MB (BENCH_12.json), so the reach stays at
-# 25: a window is counted when it is at least _COUNT_REACH times as wide
-# as its pairs.  The count stays: factoring every window instead made
-# the split workload 42% slower in wall time (felix loses its count) and
+# share views (``_divisor_counts``).  The factor route strikes only the
+# eligible n, on the same half-width bitmap, so it costs nearly the same
+# in every 2**20 window, while the count grows with its pairs: near
+# 10**8, at 0.0096 pairs per integer, d counts in 8.4-9.1 ms and factors
+# in 8.5-8.8 ms (one thread; ROADMAP item 3 logs the crossings).  A higher
+# reach factors more windows: at 100, tracking's wall time fell but its
+# peak memory rose by 3.5 MB (BENCH_12.json), so the reach stays at 25:
+# a window is counted when it is at least _COUNT_REACH times as wide as
+# its pairs.  The count stays: factoring every window instead made the
+# split workload 42% slower in wall time (felix loses its count) and
 # raised its peak memory 6% (2 vCPUs, 4 of 4 pairs).
 _COUNT_REACH = 25
 

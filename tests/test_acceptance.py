@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, one printed verdict line each.
 
-Each test drives the corresponding check in titchmarsh.verify with its
-pinned tolerances and runtime budgets (the budgets are enforced inside
-the check functions and flip the result to FAIL on overrun).
+Each test runs the corresponding row of titchmarsh.verify's full check
+table through the runner that ``titchmarsh verify`` uses, with its
+pinned tolerances and runtime budget (the runner times the check and
+flips a pass to FAIL on overrun).
 
 Criterion 9 is a known red at m = 5 and is left failing on purpose.
 The progression sum T_5(10^7) = 4148145 was recounted three ways
@@ -23,56 +24,49 @@ import pytest
 from titchmarsh import verify
 
 
-def _report(n, name, ok, detail):
-    print(f"criterion {n} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, f"criterion {n} ({name}): {detail}"
+def _report(n, name):
+    row = verify._FULL_CHECKS[n - 1]
+    assert row[0].split()[0] == str(n), row[0]
+    r = verify._run_check(*row)
+    print(f"criterion {n} ({name}): {'PASS' if r.ok else 'FAIL'} - {r.detail} ({r.seconds:.1f} s)")
+    assert r.ok, f"criterion {n} ({name}): {r.detail}"
 
 
 def test_criterion_01_convolution_identity():
-    ok, detail = verify.convolution_identity()
-    _report(1, "mu_k * d = dk and dk2 = 2^omega", ok, detail)
+    _report(1, "mu_k * d = dk and dk2 = 2^omega")
 
 
 def test_criterion_02_pillai_oracle():
-    ok, detail = verify.pillai_oracle_equality()
-    _report(2, "Pillai equals gcd-sum oracle to 2000", ok, detail)
+    _report(2, "Pillai equals gcd-sum oracle to 2000")
 
 
 def test_criterion_03_zeta_identity():
-    ok, detail = verify.zeta_identity()
-    _report(3, "zeta closed form vs Euler product to 10^7", ok, detail)
+    _report(3, "zeta closed form vs Euler product to 10^7")
 
 
 def test_criterion_04_series_equals_product():
-    ok, detail = verify.series_product_identity()
-    _report(4, "cf_series matches bk_product within tails", ok, detail)
+    _report(4, "cf_series matches bk_product within tails")
 
 
 def test_criterion_05_pillai_series():
-    ok, detail = verify.pillai_series_identity()
-    _report(5, "Pillai series equals b_2 product", ok, detail)
+    _report(5, "Pillai series equals b_2 product")
 
 
 def test_criterion_06_hand_anchors():
-    ok, detail = verify.hand_anchors()
-    _report(6, "hand-enumerated sums at x = 20", ok, detail)
+    _report(6, "hand-enumerated sums at x = 20")
 
 
 def test_criterion_07_partition_exactness():
-    ok, detail = verify.partition_exactness()
-    _report(7, "s1 + s2 = total = plain dk2 sum at 10^6", ok, detail)
+    _report(7, "s1 + s2 = total = plain dk2 sum at 10^6")
 
 
 def test_criterion_08_asymptotic_tracking():
-    ok, detail = verify.tracking_improves()
-    _report(8, "deviation shrinks 10^4 -> 10^8, pilots bit-exact", ok, detail)
+    _report(8, "deviation shrinks 10^4 -> 10^8, pilots bit-exact")
 
 
 def test_criterion_09_felix_tracking():
-    ok, detail = verify.felix_tracking()
-    _report(9, "progression ratios near 1 and pinned to pilots", ok, detail)
+    _report(9, "progression ratios near 1 and pinned to pilots")
 
 
 def test_criterion_10_determinism():
-    ok, detail = verify.determinism()
-    _report(10, "criteria 7-9 identical across workers and widths", ok, detail)
+    _report(10, "criteria 7-9 identical across workers and widths")

@@ -524,6 +524,26 @@ def test_verify_reports_seconds_per_check(capsys, monkeypatch):
 def test_verify_run_times_each_check(monkeypatch):
     from titchmarsh import verify
 
-    monkeypatch.setattr(verify, "_FAST_CHECKS", (("nap", lambda: (time.sleep(0.05), (True, "ok"))[1]),))
+    monkeypatch.setattr(verify, "_FAST_CHECKS", (("nap", lambda: (time.sleep(0.05), (True, "ok"))[1], 5.0),))
     [result] = verify.run("fast")
     assert result.ok and 0.05 <= result.seconds < 5
+
+
+def test_verify_fails_a_passing_check_over_its_budget():
+    from titchmarsh import verify
+
+    r = verify._run_check("nap", lambda: (time.sleep(0.05), (True, "ok"))[1], 0.01)
+    assert not r.ok and r.seconds >= 0.05
+    # one clock: the time it took and its budget, then the check's own detail
+    assert r.detail == f"took {r.seconds:.1f} s, budget 0.01 s: ok"
+    assert verify._run_check("quick", lambda: (True, "ok"), 5.0).ok
+
+
+def test_verify_reports_a_failing_or_raising_check_as_it_is():
+    from titchmarsh import verify
+
+    # over budget too, but the check's own verdict is what is reported
+    r = verify._run_check("bad", lambda: (time.sleep(0.02), (False, "1 != 2"))[1], 0.01)
+    assert (r.ok, r.detail) == (False, "1 != 2") and r.seconds >= 0.02
+    r = verify._run_check("boom", lambda: 1 // 0, 5.0)
+    assert (r.ok, r.detail) == (False, "raised ZeroDivisionError: integer division or modulo by zero")

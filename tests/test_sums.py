@@ -535,6 +535,23 @@ def test_determinism_across_widths_and_workers():
         assert rec.sum == pil.sum  # bit-identical, not approximately equal
 
 
+def test_run_ordered_keeps_order_with_few_jobs_in_flight():
+    # a sweep may have 2**20 windows; submitting every job at once held
+    # a future per job (25 MiB at 2**14 trivial jobs), far more than the
+    # results themselves
+    import tracemalloc
+
+    jobs = list(range(1 << 14))
+    tracemalloc.start()
+    try:
+        got = titchmarsh.sums._run_ordered(jobs, lambda j: -j, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [-j for j in jobs]
+    assert peak < 4 << 20, peak
+
+
 def test_negative_shift_widens_window():
     # p - a can exceed x when a < 0; the table window must cover it
     rec = shifted_prime_sum(DIVISOR, -5, 10**4)[-1]

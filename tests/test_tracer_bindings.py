@@ -7,7 +7,7 @@ from pathlib import Path
 
 import titchmarsh
 from titchmarsh.functions import DIVISOR
-from titchmarsh.sums import shifted_prime_sum
+from titchmarsh.sums import decompose_s1_s2, felix_partial_sum, shifted_prime_sum
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +37,19 @@ def test_a_traced_sum_equals_the_untraced_one_and_restores_the_package():
     assert all(getattr(owner, attr) is fn for owner, attr, fn in before)
     for name in ("sieve.segments", "sums.terms", "kernels.primality_calls"):
         assert tracer.counts[name] > 0, name
+
+
+def test_traced_felix_and_decompose_equal_the_untraced_ones():
+    # narrow windows on two workers, so both sweeps run their jobs on the
+    # pool, each job in a span under the map that submitted it
+    tracing = _tracing()
+    runs = (lambda: felix_partial_sum(3, 1, 10**5, segment_width=1 << 12, workers=2),
+            lambda: decompose_s1_s2(2, 1, 10**5, segment_width=1 << 12, workers=2))
+    want = [run() for run in runs]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        got = [run() for run in runs]
+    assert got == want
+    maps = {s.id for s in tracer.spans if s.name == "pool.map"}
+    jobs = [s for s in tracer.spans if s.name == "pool.job"]
+    assert len(maps) == 2 and len(jobs) > 2 and all(s.parent in maps for s in jobs)
