@@ -23,7 +23,7 @@ from titchmarsh.constants import (
     zeta_product_identity_gap,
     zeta_value,
 )
-from titchmarsh.sieve import factorize_int
+from titchmarsh.sieve import factorize_int, primes_up_to
 
 mpmath.mp.dps = 30
 
@@ -160,6 +160,20 @@ def test_bk_monotone_in_k():
 def test_bk_sign_symmetry():
     for k in (2, 3):
         assert bk_product(k, -6, 10**4).value == bk_product(k, 6, 10**4).value
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("a", [1, -6])
+def test_bk_product_is_the_exact_log_sum(k, a):
+    # every k takes the fsum of log1p(-u_p): within 2**-50 of the same
+    # product taken in 200-bit arithmetic (a running float product of the
+    # 1 - u_p was off by 1.3e-14 of b_3 at this limit)
+    limit = 10**5
+    with mpmath.workprec(200):
+        logs = mpmath.fsum(mpmath.log1p(-1 / (mpmath.mpf(p) ** (k - 2) * (p * p - p + 1)))
+                           for p in primes_up_to(limit).primes.tolist())
+        exact = titchmarsh_factor(a).value * mpmath.exp(logs)
+        assert abs(bk_product(k, a, limit).value - exact) <= 2.0**-50 * exact
 
 
 def test_bk_validation():

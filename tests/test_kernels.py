@@ -249,24 +249,34 @@ def test_sparse_repeated_index_in_one_batch():
 def test_sparse_more_offsets_than_a_batch():
     # the bitmap batches and the cofactors of a sparse strike come out in
     # blocks of at most BATCH_HITS positions over at.size; only the
-    # residual passes of the primes below width / BATCH_HITS, one prime
-    # each, read every offset
-    lo, hi = 10**8, 10**8 + (1 << 18)
-    at = np.arange(0, hi - lo, 2)
-    assert at.size > _kernels.BATCH_HITS
-    few = (hi - lo) // _kernels.BATCH_HITS
-    passes, batches, cofactors = [], [], []
-    for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at):
-        assert idx.shape == p.shape
-        if p.max() < few:
-            passes.append(p[0])
-            assert (p == p[0]).all() and idx.size <= at.size
-        else:
-            (cofactors if p.min() > isqrt(hi - 1) else batches).append(idx.size)
-    assert sorted(passes) == [2, 3]
-    assert sum(cofactors) > _kernels.BATCH_HITS and sum(batches) > _kernels.BATCH_HITS
-    assert max(batches + cofactors) <= _kernels.BATCH_HITS
-    _check_sparse(lo, hi, at)
+    # residual passes, one prime each, read every offset.  The strike
+    # sends p = 2 and the odd primes below max(size / at.size, size /
+    # BATCH_HITS), size being the bitmap's (one parity here, so half the
+    # window), to the residual group, after the bitmap group: at width
+    # 2**18 that is 2 alone, and 3 comes from a bitmap batch
+    for width, residual in ((1 << 18, [2]), (1 << 19, [2, 3])):
+        lo, hi = 10**8, 10**8 + width
+        at = np.arange(0, hi - lo, 2)
+        assert at.size > _kernels.BATCH_HITS
+        size = (hi - lo) // 2
+        few = max(-(-size // at.size), -(-size // _kernels.BATCH_HITS))
+        passes, batches, cofactors, batch_primes = [], [], [], set()
+        for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at):
+            assert idx.shape == p.shape
+            if p.max() < few or (p == 2).all():
+                passes.append(p[0])
+                assert (p == p[0]).all() and idx.size <= at.size
+            elif p.min() > isqrt(hi - 1):
+                cofactors.append(idx.size)
+            else:
+                assert not passes, "a bitmap batch after a residual pass"
+                batches.append(idx.size)
+                batch_primes.update(p.tolist())
+        assert passes == residual
+        assert min(batch_primes) == next(q for q in _BASE.primes.tolist() if q > residual[-1])
+        assert sum(cofactors) > _kernels.BATCH_HITS and sum(batches) > _kernels.BATCH_HITS
+        assert max(batches + cofactors) <= _kernels.BATCH_HITS
+        _check_sparse(lo, hi, at)
 
 
 def test_sparse_window_batches_above_the_stride_ratio():

@@ -34,3 +34,15 @@ def test_window_times_reads_the_windows_it_names(capsys):
     # T_2 is read only at the odd shift
     assert table["1000000:1"]["felix class"] > 0 and table["1000000:1"]["felix line"] > 0
     assert "felix class" not in table["2:-549755813888"]
+
+
+def test_every_mutant_names_text_and_tests_that_exist():
+    # the mutant gate itself is not run here; its entries must not rot
+    mutants = _load("mutants")
+    assert len(mutants.MUTANTS) >= 6
+    for file, old, new, ids in mutants.MUTANTS:
+        assert (mutants.ROOT / file).read_text().count(old) == 1, (file, old)
+        assert old != new and ids
+        for test in ids:
+            path, name = test.split("::")
+            assert f"def {name}(" in (mutants.ROOT / path).read_text(), test
