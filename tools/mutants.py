@@ -2,15 +2,15 @@
 must catch it.
 
 Usage:
-  python3 tools/mutants.py [--timeout S]
+  python3 tools/mutants.py
 
 An entry is (file, old text, new text, test ids): the file is a path
 from the repository root, and the old text occurs in it exactly once.
 First the named tests of every entry run once on an unchanged copy of
 src/ and tests/, and must pass.  Then, for each entry alone, a fresh
 copy under a temporary directory gets the old text replaced by the new
-one, and only the entry's tests run on it, under a timeout of S seconds
-(default 120).  A failing test or a timeout kills the mutant; a mutant
+one, and only the entry's tests run on it, under a timeout of TIMEOUT
+seconds.  A failing test or a timeout kills the mutant; a mutant
 whose tests pass survives.  One line is printed per mutant, and the
 exit status is 1 if any mutant survives or the unchanged copy fails.
 
@@ -19,7 +19,6 @@ the entry itself stays as it is.  A change that adds a route or fixes a
 bug adds its mutants here.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -29,6 +28,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 120  # seconds for one mutant's tests
 
 MUTANTS = [
     # bk_product for k >= 3 as a running float product of the 1 - u_p,
@@ -100,17 +100,14 @@ def _mutate(tree, file, old, new):
     path.write_text(text.replace(old, new))
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant's test run")
-    args = ap.parse_args(argv)
+def main():
     t0 = time.perf_counter()
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "base"
         _copy(base)
         tests = sorted({t for *_, ids in MUTANTS for t in ids})
-        if _pytest(base, tests, args.timeout * len(MUTANTS)) != "pass":
+        if _pytest(base, tests, TIMEOUT * len(MUTANTS)) != "pass":
             print("the named tests do not pass on the unchanged copy")
             return 1
         for i, (file, old, new, ids) in enumerate(MUTANTS):
@@ -118,7 +115,7 @@ def main(argv=None):
             _copy(tree)
             _mutate(tree, file, old, new)
             t = time.perf_counter()
-            outcome = _pytest(tree, ids, args.timeout)
+            outcome = _pytest(tree, ids, TIMEOUT)
             shutil.rmtree(tree)
             verdict = "survived" if outcome == "pass" else f"killed ({outcome})"
             print(f"{i}  {file}: {old.strip().splitlines()[0]!r}  {verdict}  {time.perf_counter() - t:.1f} s")
