@@ -11,10 +11,12 @@ would have two factors above sqrt(n), exceeding n).  Each kernel is a
 local-factor rule folded over that stream.
 
 A sum reads its function only at n = p - a, about one n in log x, so
-the strike and every value kernel take an optional strictly ascending
-array ``at`` of window offsets: the residual then holds only those n,
-the values come back in the order of ``at``, and the sums are factored
-at the eligible n only.  Whole-window tables pass no ``at``.
+the strike and every value kernel take an optional ``grid`` = (pi, g,
+rlo, hit), the n = g * (rlo + r) + pi at the set bits r of the bitmap
+hit: the sweep's primality flags, half the window (g = 2) when its n
+have one parity pi, or ``functions``' ``at`` on the whole window (g = 1,
+pi = 0).  Values come back in the order of the bits, and whole-window
+tables pass no grid.
 
 Every walk of base primes through a window splits the progressions
 first[i] + t * step[i] of ascending steps in one place: ``multiples``
@@ -25,22 +27,19 @@ concatenated into batches, and ``_counts`` counts them per progression.
 
 The strike yields a slice of the window with an int p (the dense
 strike's strided views), or an index array with an array of primes of
-the same length.  The sparse strike reads its n = lo + at on the bitmap
-of ``_grid``, r = (n - pi) / g, which covers half the window when every
-n has one parity pi (g = 2), as the n = p - a of the odd primes p do,
-and all of it otherwise (g = 1, pi = 0).  It takes p = 2 from the
-lowest set bit of every residual; the odd primes below max(size /
-len(at), size / BATCH_HITS) and size / STRIDE_RATIO, about log x of
-them, by a divisibility test of the residuals, which reads fewer
-integers than their strides through the bitmap; and the rest through
-``_hits``, at stride p in r from the first n >= lo with p | n and n =
-pi (mod g) (``_on_bitmap``).  The hyperbola count of ``sums`` reads the
-same bitmap, with ``_counts``.  The dense strike keeps the
-primes ascending.
+the same length.  The sparse strike takes p = 2 from the lowest set bit
+of every residual; the odd primes below max(size / bits, size /
+BATCH_HITS) and size / STRIDE_RATIO, size being the bitmap's and bits
+its set bits, about log x of them, by a divisibility test of the
+residuals, which reads fewer integers than their strides through the
+bitmap; and the rest through ``_hits``, at stride p in r from the first
+bit with p | n (``_on_bitmap``).  The hyperbola count of ``sums`` reads
+the same bitmap, with ``_counts``.  The dense strike keeps the primes
+ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
-wrapper at run time.  Callers pass ``at`` positionally, so a wrapper
+wrapper at run time.  Callers pass ``grid`` positionally, so a wrapper
 that forwards ``*args`` forwards it too.
 """
 
@@ -57,7 +56,7 @@ BACKEND = "numpy"
 # memory.  The sparse strike's views go out in batches of at most
 # BATCH_HITS entries, and no view is longer (its primes are at least the
 # bitmap's size / BATCH_HITS), nor is a block of cofactors; its residual
-# passes read len(at) residuals each.
+# passes read one residual per set bit each.
 STRIDE_RATIO = 64
 BATCH_HITS = 1 << 16
 
@@ -170,27 +169,26 @@ def _divide(residual, idx, p):
     return e
 
 
-def strike(lo, hi, primes, at=None):
-    """Factor every n in [lo, hi) over the base primes, or with ``at``,
-    a strictly ascending array of window offsets, only the n = lo + at[i].
+def strike(lo, hi, primes, grid=None):
+    """Factor every n in [lo, hi) over the base primes, or with ``grid``,
+    only the n = g * (rlo + r) + pi in it at the set bits r of hit.
 
     Yields (idx, p, e): the positions idx of the multiples of p and the
     exponent e of p at each.  A position is a window offset, or with
-    ``at`` an index into ``at``.  Where p is an int, idx is a slice;
-    otherwise idx, p and e are arrays of one length, and idx may repeat
-    a position.  Last come the cofactors, block by block of at most
-    BATCH_HITS positions: the positions whose residual exceeds 1, the
-    residual there, and exponent 1.  Without ``at`` the primes come in
-    ascending order.
+    ``grid`` the rank of a set bit among them.  Where p is an int, idx
+    is a slice; otherwise idx, p and e are arrays of one length, and idx
+    may repeat a position.  Last come the cofactors, block by block of
+    at most BATCH_HITS positions: the positions whose residual exceeds
+    1, the residual there, and exponent 1.  Without ``grid`` the primes
+    come in ascending order.
     """
     primes = primes[: np.searchsorted(primes, isqrt(hi - 1), side="right")]
-    if at is None:
+    if grid is None:
         residual = np.arange(lo, hi, dtype=np.int64)
         yield from _strike_dense(lo, hi - lo, primes, residual)
     else:
-        at = np.asarray(at, dtype=np.int64)
-        residual = at + lo
-        yield from _strike_sparse(lo, hi, primes, at, residual)
+        residual = np.flatnonzero(grid[3])  # the set bits r, made their n below
+        yield from _strike_sparse(primes, grid, residual)
     for c in range(0, residual.size, BATCH_HITS):
         r = residual[c : c + BATCH_HITS]
         idx = np.nonzero(r > 1)[0]
@@ -218,20 +216,6 @@ def _strike_dense(lo, width, primes, residual):
             yield idx, p, _divide(residual, idx, p)
 
 
-def _grid(n, lo, hi):
-    """(pi, g, rlo, r, hit): the bitmap hit of the n in the window [lo,
-    hi) is set at r = (n - pi) / g - rlo, over half the integers when
-    every n has the parity pi (g = 2), over all of them (g = 1, pi = 0)
-    when the n have both."""
-    odd = np.count_nonzero(n & 1)
-    pi, g = (int(odd > 0), 2) if odd in (0, n.size) else (0, 1)
-    rlo = -((pi - lo) // g)
-    r = (n - pi) // g - rlo
-    hit = np.zeros(-((pi - hi) // g) - rlo, dtype=np.bool_)
-    hit[r] = True
-    return pi, g, rlo, r, hit
-
-
 def _on_bitmap(s, start, pi, g):
     # the n = 0 (mod s) from start on as r = (n - pi) / g: the first r and
     # the stride in r.  For g = 2 an odd s keeps its stride, with 2r + pi
@@ -250,34 +234,36 @@ def _on_bitmap(s, start, pi, g):
     return first, step, odd >= pi
 
 
-def _strike_sparse(lo, hi, primes, at, residual):
+def _strike_sparse(primes, grid, residual):
     # the three groups of the module docstring, each in a few array
-    # passes rather than one Python iteration per prime.  The bitmap
-    # groups run first and free the bitmap and its maps before the
-    # residual group makes its temporaries, the largest of the strike,
-    # so the two are never held at once.
-    if not (at.size and primes.size):
-        return
-    pi, g, rlo, r, hit = _grid(residual, lo, hi)
+    # passes rather than one Python iteration per prime.  ``residual``
+    # comes in as the set bits r, and becomes their n once the rank map
+    # is read off it.  The bitmap group runs first and frees its maps
+    # before the residual group makes its temporaries, the largest.
+    pi, g, rlo, hit = grid
     size = hit.size
-    # the residual group ends where the strided views begin, or earlier
-    few = max(-(-size // at.size), -(-size // BATCH_HITS))
-    mid = max(1, int(np.searchsorted(primes, min(few, size // STRIDE_RATIO))))
-    # bitmap offset -> index into at, read only at the offsets in r: the
-    # first index of its 2**16 block plus a uint16 rank in the block,
-    # half the memory of an int32 map
-    block = np.searchsorted(r, np.arange(0, size, 1 << 16))
+    # bitmap offset -> position, read only at the set bits: the first
+    # position of its 2**16 block plus a uint16 rank in the block, half
+    # the memory of an int32 map
+    block = np.searchsorted(residual, np.arange(0, size, 1 << 16))
     rank = np.empty(size, dtype=np.uint16)
-    rank[r] = np.arange(at.size) - block[r >> 16]
+    rank[residual] = np.arange(residual.size) - block[residual >> 16]
+    residual *= g
+    residual += g * rlo + pi
+    if not (residual.size and primes.size):
+        return
+    # the residual group ends where the strided views begin, or earlier
+    few = max(-(-size // residual.size), -(-size // BATCH_HITS))
+    mid = max(1, int(np.searchsorted(primes, min(few, size // STRIDE_RATIO))))
     odd = primes[mid:]
-    first = _on_bitmap(odd, lo, pi, g)[0]
+    first = _on_bitmap(odd, g * rlo + pi, pi, g)[0]
     first -= rlo
     for offs, which in _hits(hit, first, odd):
         if which.size:
             idx = block[offs >> 16] + rank[offs]
             p = odd[which]
             yield idx, p, _divide(residual, idx, p)
-    del r, hit, block, rank
+    del block, rank
     yield from _strike_residuals(residual, primes[1:mid].tolist())
 
 
@@ -299,14 +285,14 @@ def _strike_residuals(residual, small):
             yield idx, ps, _divide(residual, idx, ps)
 
 
-def _fold(lo, hi, primes, ufunc, *factors, at=None):
+def _fold(lo, hi, primes, ufunc, *factors, grid=None):
     """One int64 array per local factor: ufunc's identity combined by
     ufunc with factor(p, e) for every prime power p**e exactly dividing
-    each n in the window (with ``at``, each n = lo + at[i]), in
-    whatever order the strike yields them."""
-    size = hi - lo if at is None else len(at)
+    each n in the window (with ``grid``, at its set bits, in their
+    order), in whatever order the strike yields them."""
+    size = hi - lo if grid is None else np.count_nonzero(grid[3])
     out = [np.full(size, ufunc.identity, dtype=np.int64) for _ in factors]
-    for idx, p, e in strike(lo, hi, primes, at):
+    for idx, p, e in strike(lo, hi, primes, grid):
         for arr, factor in zip(out, factors):
             if isinstance(idx, slice):
                 view = arr[idx]
@@ -338,25 +324,25 @@ def _primality(lo, hi, primes, first=None):
     return flags
 
 
-def _divisor(lo, hi, primes, at=None):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: e + 1, at=at)[0]
+def _divisor(lo, hi, primes, grid=None):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: e + 1, grid=grid)[0]
 
 
-def _kfree(lo, hi, primes, k, at=None):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.minimum(e, k - 1) + 1, at=at)[0]
+def _kfree(lo, hi, primes, k, grid=None):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.minimum(e, k - 1) + 1, grid=grid)[0]
 
 
-def _omega(lo, hi, primes, at=None):
-    return _fold(lo, hi, primes, np.add, lambda p, e: 1, at=at)[0]
+def _omega(lo, hi, primes, grid=None):
+    return _fold(lo, hi, primes, np.add, lambda p, e: 1, grid=grid)[0]
 
 
-def _mu(lo, hi, primes, at=None):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.where(e > 1, 0, -1), at=at)[0]
+def _mu(lo, hi, primes, grid=None):
+    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.where(e > 1, 0, -1), grid=grid)[0]
 
 
-def _pillai(lo, hi, primes, at=None):
+def _pillai(lo, hi, primes, grid=None):
     # numerator and denominator of prod_{p^e || n} (p + e*(p-1)) / p
-    num, den = _fold(lo, hi, primes, np.multiply, lambda p, e: p + e * (p - 1), lambda p, e: p, at=at)
+    num, den = _fold(lo, hi, primes, np.multiply, lambda p, e: p + e * (p - 1), lambda p, e: p, grid=grid)
     return num, den
 
 

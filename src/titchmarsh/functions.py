@@ -152,23 +152,7 @@ def value_range(kind, lo, hi, base=None, at=None):
     """
     if kind.tag not in _RANGE_KINDS:
         raise ValueError(f"no windowed table for kind {kind.tag!r}")
-    seg = Segment(int(lo), int(hi))
-    if base is None:
-        base = primes_up_to(max(2, isqrt(seg.hi - 1)))
-    _check_window(seg, base, 1)
-    _check_at(seg, at)
-    impl = _kernels.ACTIVE
-    # the kernels take ``at`` positionally
-    args = (seg.lo, seg.hi, base.primes)
-    if kind.tag == "d":
-        return impl.divisor(*args, at)
-    if kind.tag == "dk":
-        return impl.kfree(*args, kind.k, at)
-    if kind.tag == "unitary":
-        return np.left_shift(np.int64(1), impl.omega(*args, at))
-    if kind.tag == "omega":
-        return impl.omega(*args, at)
-    return impl.mu(*args, at)
+    return _values(kind, *_checked(lo, hi, base, at))
 
 
 def pillai_range(lo, hi, base=None, at=None):
@@ -177,12 +161,34 @@ def pillai_range(lo, hi, base=None, at=None):
 
     Entries are the exact product forms (not reduced); num/den == P(n).
     """
+    return _values(PILLAI, *_checked(lo, hi, base, at))
+
+
+def _checked(lo, hi, base, at):
+    # the kernels' arguments (lo, hi, primes, grid) for a checked window;
+    # ``at`` is set on a full-width bitmap, bit r being n = lo + r
     seg = Segment(int(lo), int(hi))
     if base is None:
         base = primes_up_to(max(2, isqrt(seg.hi - 1)))
     _check_window(seg, base, 1)
     _check_at(seg, at)
-    return _kernels.ACTIVE.pillai(seg.lo, seg.hi, base.primes, at)
+    if at is None:
+        return seg.lo, seg.hi, base.primes, None
+    hit = np.zeros(seg.width, dtype=np.bool_)
+    hit[np.asarray(at, dtype=np.int64)] = True
+    return seg.lo, seg.hi, base.primes, (0, 1, seg.lo, hit)
+
+
+def _values(kind, lo, hi, primes, grid=None):
+    # kind's kernel over a checked window, or at the n of ``grid``
+    # (``_kernels.strike``), which the kernels take positionally; pillai
+    # gives the arrays (num, den)
+    impl = _kernels.ACTIVE
+    if kind.tag == "dk":
+        return impl.kfree(lo, hi, primes, kind.k, grid)
+    if kind.tag == "unitary":
+        return np.left_shift(np.int64(1), impl.omega(lo, hi, primes, grid))
+    return getattr(impl, "divisor" if kind.tag == "d" else kind.tag)(lo, hi, primes, grid)
 
 
 def function_table(kind, n, base=None):

@@ -1,20 +1,20 @@
 """Shifted-prime sums, progression partial sums, and the S1/S2 split.
 
-Every driver is one sweep in segments (``_sweep``): a primality bitmap
-on the prime side yields the eligible n, each sum's part reads the
-segment's columns off the n-window, and the sweep sums the columns up
-to each cut.  The sums and ``decompose`` sweep the line [2, x], n = p -
-a.  ``felix`` sweeps only the class p = a (mod m), n = (p - a) / m the
-r of d(r) itself.  Every sweep strikes odd p only: its bitmap runs over
-t, p = c + M*t, M = lcm(m, 2), each base prime striking its one root
-class, so a window holds M times the primes of a line window at the
-cost of one.  p = 2 is read apart, once, as a one-integer window of its
-own (``_Class``, ``_sweep``), so on the line and in the class of an
-odd m the n of every window have one parity.  Segment jobs run on a
-thread pool (numpy releases the GIL inside its array operations) and
-are reduced strictly in segment order, which together with exact
-integer accumulation makes every sum bit-identical across segment
-widths and worker counts.
+Every driver is one sweep in segments (``_sweep``): the primality bitmap
+of a segment, its p <= a cleared, is the bitmap of the eligible n off
+which each sum's part reads the segment's columns, and the sweep sums
+the columns up to each cut.  The sums and ``decompose`` sweep the line
+[2, x], n = p - a.  ``felix`` sweeps only the class p = a (mod m), n =
+(p - a) / m the r of d(r) itself.  Every sweep strikes odd p only: its
+bitmap runs over t, p = c + M*t, M = lcm(m, 2), each base prime striking
+its one root class, so a window holds M times the primes of a line
+window at the cost of one.  p = 2 is read apart, once, as a one-integer
+window of its own (``_Class``, ``_sweep``), so on the line and in the
+class of an odd m the n of every window have one parity, and the bitmap
+covers half the window.  Segment jobs run on a thread pool (numpy
+releases the GIL inside its array operations) and are reduced strictly
+in segment order, which together with exact integer accumulation makes
+every sum bit-identical across segment widths and worker counts.
 
 Divisor-type sums are counted, not factored.  With d(r) = 2 #{e | r :
 e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
@@ -26,8 +26,7 @@ merged first, their weights summed, so each distinct view is read once
 and a view whose weights cancel is not read at all (for dk2 the
 weights mu(j) of the pairs at a stride s sum to mu(s)**2 where they
 share a start, so the views at a stride that is not squarefree
-cancel).  Where the n of a window have one parity, the
-bitmap holds only that parity, half the window.  Counted this way:
+cancel).  Counted this way:
 
 - ``decompose``: each S1 modulus q = m in a column of its own, weight
   1, and S2 in one column shared by q = j**k, weight mu(j), over the
@@ -43,9 +42,8 @@ Factored: Pillai sums, the factor route above, and the total of
 ``decompose``, which stays on the kfree kernel so that s1 + s2 = total
 compares two independent routes.  A sum reads g only at n = p - a,
 about one integer in log x, so these are factored at the eligible n
-only: the value kernel gets their offsets as ``at`` and divides nothing
-else of the window, and strikes them on the same half-width bitmap of
-one parity as the count.  Pillai terms are exact for every n < 2**41,
+only: the value kernel gets the bitmap that the count reads and divides
+nothing else of the window.  Pillai terms are exact for every n < 2**41,
 the largest n = x - a that x, |a| <= 2**40 admit.
 
 Pillai sums are rationals, so floating addition would make the total
@@ -71,11 +69,10 @@ from .functions import (
     DIVISOR,
     MOEBIUS,
     FunctionKind,
+    _values,
     function_table,
     integer_kth_root,
     k_free_divisor,
-    pillai_range,
-    value_range,
 )
 from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, _check_width, iter_segments, primes_up_to
 
@@ -224,14 +221,26 @@ def _class_sieve(a, m, x, base, least):
     return _Class(big, c, primes, low + (root - low) % primes, start, two)
 
 
-def _eligible_primes(seg, cls, a):
-    # the odd primes p = c + M*t of the class over the t of the segment
-    t = np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first))
-    p = cls.c + cls.m * (t + seg.lo)
-    if a > 0:
-        keep = p > a
-        return p[keep], int(p.size - keep.sum())
-    return p, 0
+def _eligible_primes(seg, sieved, a):
+    # the odd p = c + M*t > a over the t of the segment, from sieved =
+    # (class, primality flags of the t), and the number of p <= a, whose
+    # flags it clears; the p are for perfbench/tracing.py to count
+    cls, flags = sieved
+    low = flags[: max(0, (a - cls.c) // cls.m + 1 - seg.lo)]
+    nskip = int(np.count_nonzero(low))
+    low[:] = False
+    return cls.c + cls.m * (np.flatnonzero(flags) + seg.lo), nskip
+
+
+def _window(seg, cls, a, m):
+    # the skipped primes of the segment of t, and the n-window [lo, hi)
+    # and grid its part gets (``_sweep``): bit r of the flags is t =
+    # seg.lo + r, n = g*t - k = g*(rlo + r) + pi
+    flags = _kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first)
+    nskip = _eligible_primes(seg, (cls, flags), a)[1]
+    g, k = cls.m // m, (a - cls.c) // m
+    pi = -k % g
+    return nskip, max(1, g * seg.lo - k), g * (seg.hi - 1) - k + 1, (pi, g, seg.lo - (k + pi) // g, flags)
 
 
 @lru_cache(maxsize=4)
@@ -257,40 +266,39 @@ def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
     k, with g = M / m in {1, 2} and k = (a - c) / m.  A segment is
     ceil(segment_width / g) values of t wide, about segment_width
     integers p, and a refused width is named as the caller gave it.
-    ``part(base, lo, hi, n)`` returns one segment's columns, a list of
-    exact ints: n over the segment's primes p > a, ascending, in the
-    n-window [lo, hi) = [max(1, g*seg.lo - k), g*(seg.hi - 1) - k + 1),
-    and base the primes up to the square root of the largest n or p.
-    p = 2 is in no window: when 2 > a it is read as the one-integer
-    window [n, n + 1), n = (2 - a) / m, whose columns every cut adds
-    (all cuts are at least 3), and otherwise tallied as a skipped prime.
-    So for odd m, the line included, the n of each window have one
-    parity.  Columns are summed in segment order; a class with no odd p
-    in [3, x] has the columns of p = 2 alone, or of a window with no
-    n."""
+    ``part(base, lo, hi, grid)`` returns one segment's columns, a list
+    of exact ints, read off the grid (pi, g, rlo, hit) of ``_window``:
+    hit is the segment's primality flags, set at the n = g*(rlo + r) +
+    pi of its primes p > a, in the n-window [lo, hi) = [max(1, g*seg.lo
+    - k), g*(seg.hi - 1) - k + 1); base is the primes up to the square
+    root of the largest n or p.  p = 2 is in no window: when 2 > a it is
+    the one-bit grid of n = (2 - a) / m, [lo, hi) = [n, n + 1), whose
+    columns every cut adds (all cuts are at least 3), and otherwise a
+    skipped prime.  So for odd m, the line included, pi = -k mod 2 and
+    the grid covers half the window.  Columns are summed in segment
+    order; a class with no odd p in [3, x] has the columns of p = 2
+    alone, or of an empty grid."""
     workers = _resolve_workers(workers)
     base = _base_primes(max(2, isqrt(max(x, x - a, 4))))
     cls = _class_sieve(a, m, x, base.primes, least)
-    g, k = cls.m // m, (a - cls.c) // m
     ends = {cut: (cut - cls.c) // cls.m + 1 for cut in (*cuts, x)}
     skipped, acc = int(cls.two and a >= 2), None
     if cls.two and a < 2:
         two = (2 - a) // m
-        acc = part(base, two, two + 1, np.array([two], dtype=np.int64))
+        acc = part(base, two, two + 1, (0, 1, two, np.ones(1, dtype=np.bool_)))
     if cls.start >= ends[x]:
         # no odd p of the class up to x: the columns of p = 2 alone
         if acc is None:
-            acc = part(base, 1, 1, np.zeros(0, dtype=np.int64))
+            acc = part(base, 1, 1, (0, 1, 1, np.zeros(0, dtype=np.bool_)))
         return {cut: (skipped, acc) for cut in ends}
     stops = set(ends.values())
-    width = -(-segment_width // g)
+    width = -(-segment_width // (cls.m // m))
     _check_width(segment_width, cls.start, ends[x], width)
     segs = iter_segments(cls.start, ends[x], width, cuts=stops)
 
     def job(seg):
-        p, nskip = _eligible_primes(seg, cls, a)
-        lo, hi = max(1, g * seg.lo - k), g * (seg.hi - 1) - k + 1
-        return seg.hi, nskip, part(base, lo, hi, (p - a) // m)
+        nskip, *window = _window(seg, cls, a, m)
+        return seg.hi, nskip, part(base, *window)
 
     rows = {}
     for hi, nskip, cols in _run_ordered(segs, job, workers):
@@ -315,27 +323,27 @@ def _pairs(qs, hi):
     return qs, _isqrt_array((hi - 1) // qs)
 
 
-def _divisor_counts(qs, cs, cols, ncols, lo, hi, n):
+def _divisor_counts(qs, cs, cols, ncols, lo, hi, grid):
     """out[c] = the sum of cs[i] * d(n / qs[i]) over the moduli i with
     cols[i] = c and the n divisible by qs[i], for ascending moduli qs and
-    ncols columns, counted on the hit bitmap of the window.
+    ncols columns, counted on the bitmap of the window's grid (pi, g,
+    rlo, hit): the n in [lo, hi) at its set bits r, n = g*(rlo + r) + pi.
 
     d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
-    less the n = q*e*e itself.  When every n has one parity, as the n =
-    (p - a) / m of an odd class do, the bitmap (``_kernels._grid``, which
-    the sparse strike reads too) holds only that parity, half the window.  Each
-    pair counts the r from t on at a stride u (``_kernels._on_bitmap``),
-    and each square is a view of one entry, at u = size.  So each batch
-    of at most BATCH_HITS pairs keys its views and squares by (u, t,
+    less the n = q*e*e itself.  On the line and in an odd class the
+    sweep's bitmap holds one parity (g = 2), half the window.  Each pair
+    counts the r from t on at a stride u (``_kernels._on_bitmap``), and
+    each square is a view of one entry, at u = size.  So each batch of
+    at most BATCH_HITS pairs keys its views and squares by (u, t,
     column), u capped at the bitmap's size (a longer stride reads one
     entry too), sums the weights of each key, and reads each distinct
     view once with ``_kernels._counts``; a key whose weights cancel is
     not read.  No integer of the window is factored."""
     out = np.zeros(ncols, dtype=np.int64)
-    if n.size == 0:
+    pi, g, rlo, hit = grid
+    if not hit.any():
         return out
-    pi, g, rlo, _, hit = _kernels._grid(n, lo, hi)
     size = hit.size
     qs, ecount = _pairs(qs, hi)
     ones = np.ones_like(ecount)
@@ -414,23 +422,23 @@ def _value_part(kind, nmax):
     qs, cs = (None, None) if kind.tag == "pillai" else _divisor_weights(kind, nmax)
     cols = None if qs is None else np.zeros(qs.size, dtype=np.int64)
 
-    def part(base, lo, hi, n):
+    def part(base, lo, hi, grid):
         if qs is not None and _pairs(qs, hi)[1].sum() * _COUNT_REACH <= hi - lo:
-            return _divisor_counts(qs, cs, cols, 1, lo, hi, n).tolist()
-        return [_factor_part(kind, base, lo, hi, n)]
+            return _divisor_counts(qs, cs, cols, 1, lo, hi, grid).tolist()
+        return [_factor_part(kind, base, lo, hi, grid)]
 
     return part
 
 
-def _factor_part(kind, base, lo, hi, n):
+def _factor_part(kind, base, lo, hi, grid):
     # sum of g(n) from the value kernel, factoring only the n of the
-    # window; pillai terms are scaled by 2**64, exactly
-    if n.size == 0:
+    # window's grid; pillai terms are scaled by 2**64, exactly
+    if not grid[3].any():
         return 0
+    values = _values(kind, lo, hi, base.primes, grid)
     if kind.tag == "pillai":
-        num, den = pillai_range(lo, hi, base, n - lo)
-        return _kernels.ACTIVE.fixed_parts(num, den, slice(None))
-    return int(value_range(kind, lo, hi, base, n - lo).sum())
+        return _kernels.ACTIVE.fixed_parts(*values, slice(None))
+    return int(values.sum())
 
 
 def shifted_prime_sum(
@@ -592,11 +600,11 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
     i = np.arange(qs.size)
     weights, cols = np.where(i < ns1, 1, cs), np.minimum(i, ns1)
 
-    def part(base, lo, hi, n):
+    def part(base, lo, hi, grid):
         # the total stays on the kfree kernel, so that s1 + s2 = total
         # checks the count against an independent route
-        t = _divisor_counts(qs, weights, cols, ns1 + 1, lo, hi, n)
-        return [_factor_part(kind, base, lo, hi, n), *t.tolist()]
+        t = _divisor_counts(qs, weights, cols, ns1 + 1, lo, hi, grid)
+        return [_factor_part(kind, base, lo, hi, grid), *t.tolist()]
 
     _, [total, *t_m, s2] = _sweep(a, x, part, segment_width, workers, least=a + 1)[x]
     per_m = tuple(zip(qs[:ns1].tolist(), cs[:ns1].tolist(), t_m))

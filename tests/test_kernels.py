@@ -1,8 +1,9 @@
 """Kernels against the trial-division oracle: every value kernel must
 equal ``evaluate(kind, factorize_int(n))``, and every factorization row
-must multiply back to its n.  A kernel given ``at`` must equal the
-dense kernel read at ``at``, and the primality bitmap must mark exactly
-the primes."""
+must multiply back to its n.  A kernel given a grid (the bitmap of the
+integers it is to factor, ``tests/grids.py``) must equal the dense
+kernel read at those integers, and the primality bitmap must mark
+exactly the primes."""
 
 import json
 import random
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from grids import grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,7 +133,7 @@ def test_divide_returns_where_its_prime_does_not_divide():
     # 3 does not divide 2 or 5; q = 2 // 3 = 0 once kept q % p == 0 true
     src = str(Path(_kernels.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _DIVIDE_CHILD], capture_output=True, text=True,
-                          timeout=30, env={"PYTHONPATH": src})
+                          timeout=5, env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     e, residual = json.loads(proc.stdout)
     # the position 3 divides still gets its full power out
@@ -169,19 +171,21 @@ def test_fixed_parts_single_term_matches_fraction():
     assert total == (Fraction(293, 15) * (1 << 64)).__floor__()
 
 
-def _check_sparse(lo, hi, at):
-    # every kernel at the offsets ``at`` equals the dense kernel read there
+def _check_sparse(lo, hi, at, g=None):
+    # every kernel on the grid of the n = lo + at equals the dense kernel
+    # read at the offsets ``at``
     impl = _kernels.ACTIVE
     base = _BASE.primes
     at = np.asarray(at, dtype=np.int64)
+    bits = grid(lo, hi, lo + at, g)
     for name, args in (("divisor", ()), ("kfree", (2,)), ("kfree", (3,)), ("omega", ()), ("mu", ())):
         kernel = getattr(impl, name)
         dense = kernel(lo, hi, base, *args)
-        sparse = kernel(lo, hi, base, *args, at)
+        sparse = kernel(lo, hi, base, *args, bits)
         assert sparse.shape == at.shape
         assert np.array_equal(sparse, dense[at]), (name, args, lo, hi)
     num, den = impl.pillai(lo, hi, base)
-    snum, sden = impl.pillai(lo, hi, base, at)
+    snum, sden = impl.pillai(lo, hi, base, bits)
     assert impl.fixed_parts(snum, sden, slice(None)) == impl.fixed_parts(num, den, at), (lo, hi)
 
 
@@ -205,7 +209,7 @@ def _one_parity(lo, width, pi, density, seed):
        density=st.sampled_from([1.0, 0.5, 0.05]), seed=st.integers(0, 2**32))
 def test_sparse_kernels_match_dense_on_one_parity(lo, width, pi, density, seed):
     # n of one parity are struck on the half-width bitmap of r = (n - pi) / 2
-    _check_sparse(lo, lo + width, _one_parity(lo, width, pi, density, seed))
+    _check_sparse(lo, lo + width, _one_parity(lo, width, pi, density, seed), 2)
 
 
 @pytest.mark.parametrize("lo,width,pi", [
@@ -220,9 +224,9 @@ def test_sparse_kernels_match_dense_on_one_parity(lo, width, pi, density, seed):
 def test_sparse_one_parity_edges(lo, width, pi):
     full = _one_parity(lo, width, pi, 1.0, 0)
     assert (lo + full[-1]) % 2 == pi and full[-1] >= width - 2
-    _check_sparse(lo, lo + width, full)
+    _check_sparse(lo, lo + width, full, 2)
     for at in (full[:1], full[-1:], full[::7], full[1:]):
-        _check_sparse(lo, lo + width, at)
+        _check_sparse(lo, lo + width, at, 2)
 
 
 def test_sparse_one_parity_across_rank_blocks():
@@ -230,7 +234,7 @@ def test_sparse_one_parity_across_rank_blocks():
     lo, hi = 10**10 + 1, 10**10 + 1 + (1 << 18)
     rng = np.random.default_rng(7)
     at = np.arange(0, hi - lo, 2)
-    _check_sparse(lo, hi, at[rng.random(at.size) < 0.3])
+    _check_sparse(lo, hi, at[rng.random(at.size) < 0.3], 2)
 
 
 def test_sparse_repeated_index_in_one_batch():
@@ -241,7 +245,8 @@ def test_sparse_repeated_index_in_one_batch():
     at = np.arange((n - lo) % 5, hi - lo, 5)
     i = int(np.searchsorted(at, n - lo))
     assert at[i] == n - lo
-    batches = [idx for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at) if (p == 4099).any()]
+    bits = grid(lo, hi, lo + at)
+    batches = [idx for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, bits) if (p == 4099).any()]
     assert len(batches) == 1 and np.count_nonzero(batches[0] == i) == 2
     _check_sparse(lo, hi, at)
 
@@ -261,7 +266,7 @@ def test_sparse_more_offsets_than_a_batch():
         size = (hi - lo) // 2
         few = max(-(-size // at.size), -(-size // _kernels.BATCH_HITS))
         passes, batches, cofactors, batch_primes = [], [], [], set()
-        for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, at):
+        for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, grid(lo, hi, lo + at, 2)):
             assert idx.shape == p.shape
             if p.max() < few or (p == 2).all():
                 passes.append(p[0])
@@ -276,7 +281,7 @@ def test_sparse_more_offsets_than_a_batch():
         assert min(batch_primes) == next(q for q in _BASE.primes.tolist() if q > residual[-1])
         assert sum(cofactors) > _kernels.BATCH_HITS and sum(batches) > _kernels.BATCH_HITS
         assert max(batches + cofactors) <= _kernels.BATCH_HITS
-        _check_sparse(lo, hi, at)
+        _check_sparse(lo, hi, at, 2)
 
 
 def test_sparse_window_batches_above_the_stride_ratio():
@@ -286,7 +291,8 @@ def test_sparse_window_batches_above_the_stride_ratio():
     assert (hi - lo) // _kernels.STRIDE_RATIO < 4093
     rng = np.random.default_rng(5)
     at = np.nonzero(rng.random(hi - lo) < 0.05)[0]
-    assert any((p == 4093).any() and p.max() > 4093 for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, at))
+    strikes = _kernels.strike(lo, hi, _BASE.primes, grid(lo, hi, lo + at))
+    assert any((p == 4093).any() and p.max() > 4093 for _, p, _ in strikes)
     _check_sparse(lo, hi, at)
 
 
@@ -294,15 +300,15 @@ def test_sparse_window_batches_above_the_stride_ratio():
 def test_sparse_two_adic_exponents_up_to_40(n):
     # p = 2 is taken from the lowest set bit of each residual
     lo, hi = n - 64, n + 64
-    _check_sparse(lo, hi, np.arange(0, hi - lo, 2))
-    _check_sparse(lo, hi, [n - lo])
+    _check_sparse(lo, hi, np.arange(0, hi - lo, 2), 2)
+    _check_sparse(lo, hi, [n - lo], 2)
 
 
 def test_sparse_odd_offsets_have_no_two():
     lo, hi = 10**8, 10**8 + 4096
     at = np.nonzero(np.random.default_rng(3).random(hi - lo) < 0.3)[0] | 1
     at = np.unique(at[at < hi - lo])
-    assert not any((p == 2).any() for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, at))
+    assert not any((p == 2).any() for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, grid(lo, hi, lo + at)))
     _check_sparse(lo, hi, at)
 
 
@@ -334,7 +340,7 @@ def test_sparse_strike_of_a_window_yields_a_few_batches():
     n = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base)) + plo - 1
     lo, hi = plo - 1, phi - 1
     assert n.size > 50_000
-    assert len(list(_kernels.strike(lo, hi, base, n - lo))) <= 32
+    assert len(list(_kernels.strike(lo, hi, base, grid(lo, hi, n, 2)))) <= 32
 
 
 def _prime_flags(lo, hi):
@@ -477,23 +483,6 @@ def test_one_long_progression_is_split_into_chunks():
     chunks = list(_kernels.progressions(first, step, np.array([size])))
     assert len(chunks) == 3 and all(idx.size == _kernels.BATCH_HITS for _, idx in chunks)
     assert np.array_equal(np.concatenate([idx for _, idx in chunks]), np.arange(size))
-
-
-@pytest.mark.parametrize("lo, hi", [(10, 30), (11, 31), (1, 2), (2**39, 2**39 + 1001)])
-def test_grid_maps_each_parity_onto_its_bitmap(lo, hi):
-    window = np.arange(lo, hi, dtype=np.int64)
-    cases = [(window[window % 2 == pi], (pi, 2)) for pi in (0, 1) if (window % 2 == pi).any()]
-    cases += [(window[:1], (lo % 2, 2))] + ([(window, (0, 1))] if window.size > 1 else [])
-    for n, (pi, g) in cases:
-        got_pi, got_g, rlo, r, hit = _kernels._grid(n, lo, hi)
-        assert (got_pi, got_g) == (pi, g)
-        # the bitmap spans exactly the integers of the window with n = pi (mod g)
-        on = window[window % g == pi]
-        assert hit.size == on.size and hit.dtype == np.bool_
-        assert np.array_equal((on - pi) // g - rlo, np.arange(on.size))
-        # and is set exactly at the n
-        assert np.array_equal(r, (n - pi) // g - rlo)
-        assert np.array_equal(on[hit], n)
 
 
 @pytest.mark.parametrize("lo, width", [(10**8, 1 << 14), (2**39, 4096), (1, 1000)])

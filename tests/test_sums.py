@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from grids import grid, held
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -106,8 +107,9 @@ def test_every_window_of_the_sweep_has_one_parity(m, a, least, width):
     # parity, and the bitmaps of the count and the strike are half-width
     windows = []
 
-    def part(base, lo, hi, n):
-        windows.append((lo, hi, n.copy()))
+    def part(base, lo, hi, bits):
+        n = held(bits)
+        windows.append((lo, hi, n, bits[1]))
         return [int(n.size)]
 
     x = max(a, 0) + 3000
@@ -115,13 +117,65 @@ def test_every_window_of_the_sweep_has_one_parity(m, a, least, width):
     odd = [p for p in primes_up_to(x).primes.tolist() if (p - a) % m == 0 and p >= least]
     assert rows[x] == (sum(p <= a for p in odd), [sum(p > a for p in odd)])
     assert windows
-    for lo, hi, n in windows:
+    for lo, hi, n, _ in windows:
         assert n.size == 0 or (np.all(n & 1 == n[0] & 1) and lo <= n[0] and n[-1] < hi)
     # p = 2, when summed, is the one-integer window [n, n + 1) in front
     if 2 in odd and a < 2:
-        lo, hi, n = windows[0]
+        lo, hi, n, _ = windows.pop(0)
         assert (lo, hi, n.tolist()) == ((2 - a) // m, (2 - a) // m + 1, [(2 - a) // m])
-    assert not any((n * m + a == 2).any() for _, _, n in windows[1:])
+    assert not any((n * m + a == 2).any() for _, _, n, _ in windows)
+    assert all(g == 2 for *_, g in windows)
+
+
+@pytest.mark.parametrize("m,a,least,x", [
+    (1, 1, 2, 3000), (1, -1, 2, 3000),  # the line, odd a; p = 2 in front
+    (1, 2, 2, 3000), (1, -6, 2, 3000),  # the line, even a: odd n
+    (3, -1, 0, 3000), (5, 2, 3, 3000),  # odd m
+    (4, 3, 2, 3000), (6, -1, 0, 3000),  # even m: g = 1
+    # a > 2, swept from p = 3: the first window straddles p = a
+    (1, 1000, 2, 4000), (3, 1001, 2, 4000), (4, 1001, 2, 4000),
+    (8, 1, 2, 8),  # an empty class
+])
+@pytest.mark.parametrize("width", [1, 97, 1 << 12])
+def test_the_sweep_hands_each_part_the_bitmap_of_its_n(m, a, least, x, width):
+    # bit r of a part's grid is n = g*(rlo + r) + pi, g = 2 on the line
+    # and in an odd m's class, 1 for an even m; the bitmap runs from the
+    # window's lo, or from an n <= 0 when the window straddles p = a, to
+    # its last n, hi - 1, and is set exactly at the n = (p - a) / m of
+    # the window's primes p > a
+    parts = []
+
+    def part(base, lo, hi, bits):
+        parts.append((lo, hi, bits))
+        return [0]
+
+    titchmarsh.sums._sweep(a, x, part, width, 1, m=m, least=least)
+    eligible = [p for p in primes_up_to(x).primes.tolist() if (p - a) % m == 0 and least <= p and a < p]
+    assert np.concatenate([held(bits) for *_, bits in parts]).tolist() == [(p - a) // m for p in eligible]
+    if eligible[:1] == [2]:
+        # p = 2 is the one-bit grid of its n, in front
+        two = (2 - a) // m
+        (lo, hi, (pi, g, rlo, hit)), *parts = parts
+        assert (lo, hi, pi, g, rlo, hit.tolist()) == (two, two + 1, 0, 1, two, [True])
+    if not eligible:
+        [(lo, hi, (pi, g, rlo, hit))] = parts
+        assert (lo, hi, pi, g, rlo, hit.size) == (1, 1, 0, 1, 1, 0)
+        return
+    ends = []
+    for lo, hi, (pi, g, rlo, hit) in parts:
+        assert g == (2 if m % 2 else 1) and 0 <= pi < g and hit.dtype == np.bool_
+        assert g * (rlo + hit.size - 1) + pi == hi - 1
+        first = g * rlo + pi
+        assert first == lo or (lo == 1 and first < 1)
+        # a window of p <= a alone has hi <= lo = 1, and no bit set
+        if hi > lo:
+            ends += [lo, hi]
+        else:
+            assert not hit.any()
+    assert ends == sorted(ends)
+    if a > 2 and width == 1 << 12:
+        _, _, (pi, g, rlo, hit) = parts[0]
+        assert g * rlo + pi < 1 and hit.any()
 
 
 def test_pillai_sum_is_exact_fixed_point():
@@ -146,6 +200,31 @@ def test_pillai_sum_is_exact_up_to_n_2_41(a, x):
         v = evaluate(PILLAI, factorize_int(p - a))
         acc += (v.numerator << 64) // v.denominator
     assert shifted_prime_sum(PILLAI, a, x, [x])[-1].sum == acc / (1 << 64)
+
+
+@pytest.mark.parametrize("kind,a,x", [(PILLAI, 1000, 5000), (k_free_divisor(2), 4000, 10**4)])
+def test_a_factored_window_that_straddles_p_a_equals_its_oracle(monkeypatch, kind, a, x):
+    # the first window, p from 3 to 4097, holds p <= a, whose bits the
+    # sweep clears, and p > a; dk2's n there, below 98, are too few for
+    # the count's 19 pairs, so that window is factored too
+    sums = titchmarsh.sums
+    routes = []
+    for route in ("_divisor_counts", "_factor_part"):
+        fn = getattr(sums, route)
+        monkeypatch.setattr(sums, route,
+                            lambda *args, fn=fn, route=route: routes.append(route) or fn(*args))
+    rec = shifted_prime_sum(kind, a, x, [x], segment_width=1 << 12, workers=1)[-1]
+    assert routes[0] == "_factor_part"
+    primes = primes_up_to(x).primes.tolist()
+    assert rec.skipped_primes == sum(p <= a for p in primes)
+    if kind is PILLAI:
+        acc = 0
+        for p in primes[rec.skipped_primes :]:
+            v = evaluate(PILLAI, factorize_int(p - a))
+            acc += (v.numerator << 64) // v.denominator
+        assert rec.sum == acc / (1 << 64)
+    else:
+        assert rec.sum == _direct_sum(kind, a, x)[0]
 
 
 def test_main_term_and_normalized_error():
@@ -252,8 +331,8 @@ def _line_progression(m, a, x):
     # n = p - a divisible by m counted with q = m
     qs, cs, cols = (np.array([v], dtype=np.int64) for v in (m, 1, 0))
 
-    def part(base, lo, hi, n):
-        return titchmarsh.sums._divisor_counts(qs, cs, cols, 1, lo, hi, n).tolist()
+    def part(base, lo, hi, bits):
+        return titchmarsh.sums._divisor_counts(qs, cs, cols, 1, lo, hi, bits).tolist()
 
     return titchmarsh.sums._sweep(a, x, part, 1 << 20, 1)[x][1][0]
 
@@ -589,12 +668,13 @@ def _check_count(qs, cs, lo, hi, n):
     cs = np.array(cs, dtype=np.int64)
     want = _divisor_oracle(qs.tolist(), lo, hi, n)
     i = np.arange(qs.size)
-    got = count(qs, np.ones_like(qs), i, qs.size, lo, hi, n)
+    bits = grid(lo, hi, n)
+    got = count(qs, np.ones_like(qs), i, qs.size, lo, hi, bits)
     assert got.tolist() == want, (lo, hi)
-    [total] = count(qs, cs, np.zeros_like(qs), 1, lo, hi, n).tolist()
+    [total] = count(qs, cs, np.zeros_like(qs), 1, lo, hi, bits).tolist()
     assert total == sum(c * w for c, w in zip(cs.tolist(), want)), (lo, hi)
     own = (qs.size + 1) // 2
-    got = count(qs, np.where(i < own, 1, cs), np.minimum(i, own), own + 1, lo, hi, n)
+    got = count(qs, np.where(i < own, 1, cs), np.minimum(i, own), own + 1, lo, hi, bits)
     rest = sum(c * w for c, w in zip(cs[own:].tolist(), want[own:]))
     assert got.tolist() == [*want[:own], rest], (lo, hi)
 
@@ -682,7 +762,7 @@ def test_divisor_count_merges_one_stride_by_its_start(monkeypatch, e):
         hi = lo + 64 * (4 * e + 1) + 3  # s = 4e is below 1/64 of the width
         n = np.arange(lo, hi, dtype=np.int64)  # both parities: g = 1
         calls.clear()
-        titchmarsh.sums._divisor_counts(qs, np.array([1, -1]), cols, 1, lo, hi, n)
+        titchmarsh.sums._divisor_counts(qs, np.array([1, -1]), cols, 1, lo, hi, grid(lo, hi, n))
         assert sum(step == 4 * e for call in calls for _, step in call) == views
         for dense in (n, n[n % 3 != 1]):
             _check_count([1, 4], [1, -1], lo, hi, dense)
@@ -705,7 +785,7 @@ def test_divisor_count_merges_a_long_stride_by_its_start(monkeypatch, e, width):
         view = (10, min(s, width))  # both parities: g = 1, the bitmap is the window
         for cs, read in (([1, -1], False), ([1, 1], True)):
             calls.clear()
-            titchmarsh.sums._divisor_counts(qs, np.array(cs), cols, 1, lo, hi, n)
+            titchmarsh.sums._divisor_counts(qs, np.array(cs), cols, 1, lo, hi, grid(lo, hi, n))
             assert any(view in call for call in calls) == read
             _check_count([1, 4], cs, lo, hi, n)
 
@@ -719,7 +799,8 @@ def test_a_window_of_many_pairs_is_counted_batch_by_batch(monkeypatch):
     assert titchmarsh.sums._pairs(one, hi)[1].sum() > _kernels.BATCH_HITS
     for n in (np.arange(lo + 1, hi, 2, dtype=np.int64), np.arange(lo, hi, 5, dtype=np.int64)):
         calls.clear()
-        [got] = titchmarsh.sums._divisor_counts(one, one, np.zeros(1, dtype=np.int64), 1, lo, hi, n)
+        col = np.zeros(1, dtype=np.int64)
+        [got] = titchmarsh.sums._divisor_counts(one, one, col, 1, lo, hi, grid(lo, hi, n))
         assert len(calls) > 1 and max(map(len, calls)) <= 2 * _kernels.BATCH_HITS
         assert got == int(value_range(DIVISOR, lo, hi)[n - lo].sum())
 
@@ -750,11 +831,12 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
     for top in (hi - 1, hi):
         lo = top - width
         n = np.arange(lo, top, 3, dtype=np.int64)
+        bits = grid(lo, top, n)
         routes.clear()
-        [got] = part(base, lo, top, n)
+        [got] = part(base, lo, top, bits)
         picked.append(routes[0])
         want = int(value_range(kind, lo, top)[n - lo].sum())
-        [counted] = sums._divisor_counts(qs, cs, np.zeros_like(qs), 1, lo, top, n).tolist()
+        [counted] = sums._divisor_counts(qs, cs, np.zeros_like(qs), 1, lo, top, bits).tolist()
         assert got == want == counted, (kind.label, lo, top)
     assert picked == ["_divisor_counts", "_factor_part"]
 
@@ -765,11 +847,11 @@ def _stub_routes(monkeypatch):
     sums = titchmarsh.sums
     routes = []
 
-    def counted(qs, cs, cols, ncols, lo, hi, n):
+    def counted(qs, cs, cols, ncols, lo, hi, bits):
         routes.append("count")
         return np.zeros(ncols, dtype=np.int64)
 
-    def factored(kind, base, lo, hi, n):
+    def factored(kind, base, lo, hi, bits):
         routes.append("factor")
         return 0
 
@@ -833,14 +915,15 @@ def test_decompose_total_stays_on_the_kfree_kernel(monkeypatch):
 
 
 def _record_at(monkeypatch, name):
-    # the ``at`` of every call to kernel ``name``, None when it factors
-    # the whole window
+    # the n that each call to kernel ``name`` factors, read off its grid;
+    # None when it factors the whole window
     calls = []
     kernel = getattr(_kernels.ACTIVE, name)
     narg = 5 if name == "kfree" else 4
 
     def recorded(*args):
-        calls.append(args[narg - 1] if len(args) == narg else None)
+        bits = args[narg - 1] if len(args) == narg else None
+        calls.append(None if bits is None else held(bits))
         return kernel(*args)
 
     monkeypatch.setattr(_kernels.ACTIVE, name, recorded)
@@ -857,10 +940,10 @@ def test_sums_factor_only_the_eligible_n(monkeypatch, kind, a, x):
     eligible = primes_up_to(x).primes
     eligible = eligible[eligible > a]
     assert rec.skipped_primes == len(primes_up_to(x)) - eligible.size
-    assert calls and all(at is not None for at in calls)
-    assert sum(at.size for at in calls) == eligible.size
+    assert calls and all(n is not None for n in calls)
+    n = eligible - a
+    assert np.array_equal(np.sort(np.concatenate(calls)), n)
     if kind is DIVISOR:
-        n = eligible - a
         lo = int(n[0])
         assert rec.sum == int(value_range(DIVISOR, lo, int(n[-1]) + 1)[n - lo].sum())
 

@@ -68,6 +68,19 @@ MUTANTS = [
      "    if k >= 1 << 63:\n",
      "    if False:\n",
      ["tests/test_cli.py::test_decompose_k_from_2_63_is_a_domain_error"]),
+    # the sweep leaves the flags of p <= a set, so a window that straddles
+    # p = a hands its parts bits of n <= 0
+    ("src/titchmarsh/sums.py",
+     "    low[:] = False\n",
+     "",
+     ["tests/test_sums.py::test_the_sweep_hands_each_part_the_bitmap_of_its_n",
+      "tests/test_sums.py::test_a_factored_window_that_straddles_p_a_equals_its_oracle"]),
+    # the grid's parity fixed at 0, wrong for the odd n of an even a
+    ("src/titchmarsh/sums.py",
+     "    pi = -k % g\n",
+     "    pi = 0\n",
+     ["tests/test_sums.py::test_the_sweep_hands_each_part_the_bitmap_of_its_n",
+      "tests/test_sums.py::test_a_factored_window_that_straddles_p_a_equals_its_oracle"]),
 ]
 
 

@@ -6,10 +6,13 @@ Usage:
 
 Each point P:A is one window of the primes, [P, P + W), and its shift a;
 the sums read n = p - a for the primes p > a there, so the n-window is
-[max(1, P - a), P + W - a).  The sums sweep the odd p = 2t - 1 of the
-window, W/2 values of t, and read p = 2 apart, as a one-integer window
-of its own (``sums._sweep``); so every row here reads the odd p alone,
-and the n of each window have one parity.  The default points are
+about [max(1, P - a), P + W - a).  The sums sweep the odd p = 2t - 1 of
+the window, W/2 values of t, and read p = 2 apart, as a one-integer
+window of its own (``sums._sweep``); so every row here reads the odd p
+alone, and the n of each window have one parity.  The count and factor
+rows time what the sweep's part runs on its window: they are handed the
+window's primality flags as their grid (``sums._window``), as the sweep
+hands them, so they do not include the bitmap.  The default points are
 10^7:1 (the top window of felix's T_m to 10^7), 10^8:1 (n near 10^8)
 and 2:-2^39 (n near 2^39, the first window of a sum with a = -2^39).
 Numbers may be written 123, 3e8 or 2^39.
@@ -22,7 +25,8 @@ Rows, each the median of N runs (default 5) on one thread:
   d / dk2 counted    ms for the hyperbola count (sums._divisor_counts)
   felix line         ms for T_2 counted on the line, where decompose's
                      per_m columns count it: the bitmap of the odd p of
-                     the window and the count with q = 2 (odd a only)
+                     the window and the count with q = 2 on it (odd a
+                     only)
   felix class        ms for one window of felix's T_2 sweep over the class
                      p = a (mod 2), the primes from P on: the class bitmap
                      over W values of t = (p - c) / 2, twice the primes of
@@ -59,10 +63,10 @@ from titchmarsh.sums import (
     _class_sieve,
     _divisor_counts,
     _divisor_weights,
-    _eligible_primes,
     _factor_part,
     _pairs,
     _value_part,
+    _window,
 )
 
 DK2 = k_free_divisor(2)
@@ -109,23 +113,22 @@ def _felix_rows(plo, a, width, runs):
     odd = _odd_window(plo, phi, a, base.primes)
 
     def line():
-        p, _ = _eligible_primes(*odd, a)
-        return _divisor_counts(q, one, col, 1, max(1, plo - a), phi - a, p - a)
+        _, *window = _window(*odd, a, 1)
+        return _divisor_counts(q, one, col, 1, *window)
 
-    # the sweep's coordinates: p = c + 2t, r = t - k
+    # W values of t from the first p = c + 2t >= plo of the class
     cls = _class_sieve(a, 2, phi + width, base.primes, plo)
-    k, t = (a - cls.c) // 2, -((cls.c - plo) // 2)
+    t = -((cls.c - plo) // 2)
     seg = Segment(t, t + width)
-    part = _value_part(DIVISOR, seg.hi - 1 - k)
+    part = _value_part(DIVISOR, (cls.c + 2 * (seg.hi - 1) - a) // 2)
 
     def over_the_class():
-        p, _ = _eligible_primes(seg, cls, a)
-        return part(base, max(1, seg.lo - k), seg.hi - k, (p - a) // 2)
+        return part(base, *_window(seg, cls, a, 2)[1:])
 
     return {"felix line": _ms(line, runs), "felix class": _ms(over_the_class, runs)}
 
 
-def _views_read(qs, cs, cols, lo, hi, n):
+def _views_read(qs, cs, cols, lo, hi, grid):
     # the distinct views (first, step) that the count's _kernels._counts calls read
     views, counts = set(), _kernels._counts
 
@@ -135,7 +138,7 @@ def _views_read(qs, cs, cols, lo, hi, n):
 
     _kernels._counts = record
     try:
-        _divisor_counts(qs, cs, cols, 1, lo, hi, n)
+        _divisor_counts(qs, cs, cols, 1, lo, hi, grid)
     finally:
         _kernels._counts = counts
     return len(views)
@@ -144,29 +147,28 @@ def _views_read(qs, cs, cols, lo, hi, n):
 def window_rows(plo, a, width, runs):
     """{row: value} for the prime window [plo, plo + width) and shift a."""
     phi = plo + width
-    lo, hi = max(1, plo - a), phi - a
-    base = primes_up_to(max(2, isqrt(max(phi, hi) - 1)))
+    base = primes_up_to(max(2, isqrt(max(phi, phi - a) - 1)))
     seg, cls = _odd_window(plo, phi, a, base.primes)
-    p, _ = _eligible_primes(seg, cls, a)
-    n = p - a
+    # the n-window and the grid the sweep hands its part, the bitmap supplied
+    _, lo, hi, grid = _window(seg, cls, a, 1)
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
     # one column, as the sums count them
     d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
     return {
-        "eligible n": int(n.size),
+        "eligible n": int(np.count_nonzero(grid[3])),
         "primality bitmap": _ms(
             lambda: _kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first), runs
         ),
-        "d counted": _ms(lambda: _divisor_counts(d_q, d_c, d_col, 1, lo, hi, n), runs),
-        "dk2 counted": _ms(lambda: _divisor_counts(k_q, k_c, k_col, 1, lo, hi, n), runs),
+        "d counted": _ms(lambda: _divisor_counts(d_q, d_c, d_col, 1, lo, hi, grid), runs),
+        "dk2 counted": _ms(lambda: _divisor_counts(k_q, k_c, k_col, 1, lo, hi, grid), runs),
         **(_felix_rows(plo, a, width, runs) if a % 2 else {}),
-        "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, n), runs),
-        "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, n), runs),
-        "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, n), runs),
+        "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, grid), runs),
+        "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, grid), runs),
+        "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, grid), runs),
         "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
         "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
         "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
-        "dk2 views/int": _views_read(k_q, k_c, k_col, lo, hi, n) / (hi - lo),
+        "dk2 views/int": _views_read(k_q, k_c, k_col, lo, hi, grid) / (hi - lo),
     }
 
 
