@@ -7,8 +7,8 @@ base primes prime to m and the first t each strikes.  The factorization
 kernels share one strike (``strike``): each base prime is struck
 through the window and divided out of a residual array, and a residual
 > 1 left at the end is a single prime factor (a composite residual
-would have two factors above sqrt(n), exceeding n).  Each kernel is a
-local-factor rule folded over that stream.
+would have two factors above sqrt(n), exceeding n).  Each value kernel
+folds its local-factor rule (``RULES``) over that stream.
 
 A sum reads its function only at n = p - a, about one n in log x, so
 the strike and every value kernel take an optional ``grid`` = (pi, g,
@@ -43,6 +43,7 @@ wrapper at run time.  Callers pass ``grid`` positionally, so a wrapper
 that forwards ``*args`` forwards it too.
 """
 
+from functools import partial
 from math import isqrt
 from types import SimpleNamespace
 
@@ -285,22 +286,44 @@ def _strike_residuals(residual, small):
             yield idx, ps, _divide(residual, idx, ps)
 
 
-def _fold(lo, hi, primes, ufunc, *factors, grid=None):
-    """One int64 array per local factor: ufunc's identity combined by
-    ufunc with factor(p, e) for every prime power p**e exactly dividing
-    each n in the window (with ``grid``, at its set bits, in their
-    order), in whatever order the strike yields them."""
+# The local-factor rules, named as their kernels: a fold ufunc and one or
+# two factors of (p, e, k), each for Python ints and int64 arrays alike;
+# two factors give the ratio of their folds, Pillai's num / den.
+RULES = {
+    "divisor": (np.multiply, lambda p, e, k: e + 1),
+    # k - 1 held to int64 for numpy; no exponent reaches 2**63 - 1, so a larger k caps nothing
+    "kfree": (np.multiply, lambda p, e, k: np.minimum(e, min(k, 1 << 63) - 1) + 1),
+    "omega": (np.add, lambda p, e, k: 1),
+    "mu": (np.multiply, lambda p, e, k: np.where(e > 1, 0, -1)),
+    "phi": (np.multiply, lambda p, e, k: p ** (e - 1) * (p - 1)),
+    "mu_k": (np.multiply, lambda p, e, k: np.where(e == k, -1, 0)),
+    "pillai": (np.multiply, lambda p, e, k: p + e * (p - 1), lambda p, e, k: p),
+}
+
+
+def _fold(rule, lo, hi, primes, grid=None, k=None):
+    """The kernel of RULES[rule], one int64 array per factor: ufunc's
+    identity combined by ufunc with factor(p, e, k) for every prime power
+    p**e exactly dividing each n in the window (with ``grid``, at its set
+    bits, in their order), in whatever order the strike yields them.  A
+    rule of one factor gives its one array, Pillai's the pair."""
+    ufunc, *factors = RULES[rule]
     size = hi - lo if grid is None else np.count_nonzero(grid[3])
     out = [np.full(size, ufunc.identity, dtype=np.int64) for _ in factors]
     for idx, p, e in strike(lo, hi, primes, grid):
         for arr, factor in zip(out, factors):
             if isinstance(idx, slice):
                 view = arr[idx]
-                ufunc(view, factor(p, e), out=view)
+                ufunc(view, factor(p, e, k), out=view)
             else:
                 # an index array may repeat a position
-                ufunc.at(arr, idx, factor(p, e))
-    return out
+                ufunc.at(arr, idx, factor(p, e, k))
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _kfree(lo, hi, primes, k, grid=None):
+    # the one kernel whose rule reads k, which it takes before grid
+    return _fold("kfree", lo, hi, primes, grid, k)
 
 
 def _primality(lo, hi, primes, first=None):
@@ -324,28 +347,6 @@ def _primality(lo, hi, primes, first=None):
     return flags
 
 
-def _divisor(lo, hi, primes, grid=None):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: e + 1, grid=grid)[0]
-
-
-def _kfree(lo, hi, primes, k, grid=None):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.minimum(e, k - 1) + 1, grid=grid)[0]
-
-
-def _omega(lo, hi, primes, grid=None):
-    return _fold(lo, hi, primes, np.add, lambda p, e: 1, grid=grid)[0]
-
-
-def _mu(lo, hi, primes, grid=None):
-    return _fold(lo, hi, primes, np.multiply, lambda p, e: np.where(e > 1, 0, -1), grid=grid)[0]
-
-
-def _pillai(lo, hi, primes, grid=None):
-    # numerator and denominator of prod_{p^e || n} (p + e*(p-1)) / p
-    num, den = _fold(lo, hi, primes, np.multiply, lambda p, e: p + e * (p - 1), lambda p, e: p, grid=grid)
-    return num, den
-
-
 def _fixed_parts(num, den, idx):
     # The exact sum of floor(num/den * 2**64) over the selected positions
     # (idx is an index array or a slice), summed in four parts so every
@@ -364,10 +365,10 @@ def _fixed_parts(num, den, idx):
 
 ACTIVE = SimpleNamespace(
     primality=_primality,
-    divisor=_divisor,
+    divisor=partial(_fold, "divisor"),
     kfree=_kfree,
-    omega=_omega,
-    mu=_mu,
-    pillai=_pillai,
+    omega=partial(_fold, "omega"),
+    mu=partial(_fold, "mu"),
+    pillai=partial(_fold, "pillai"),
     fixed_parts=_fixed_parts,
 )

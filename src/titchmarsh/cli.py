@@ -26,7 +26,7 @@ from .constants import (
     felix_cm,
     titchmarsh_factor,
 )
-from .functions import FunctionKind
+from .functions import _TABLE, FunctionKind, _accepted
 from .sieve import DEFAULT_SEGMENT_WIDTH
 from .sums import decompose_s1_s2, felix_partial_sum, shifted_prime_sum
 
@@ -60,7 +60,7 @@ def build_parser():
     _add_common(c)
 
     s = sub.add_parser("sum", help="checkpointed shifted-prime sums")
-    s.add_argument("--fn", choices=("d", "dk", "unitary", "pillai"), required=True)
+    s.add_argument("--fn", choices=_accepted("shifted_prime_sum"), required=True)
     s.add_argument("--k", type=int, default=2)
     s.add_argument("--a", type=int, default=1)
     s.add_argument("--x", type=int, required=True)
@@ -146,7 +146,7 @@ def _dict_rows(dicts):
 
 
 def _run_sum(ns):
-    kind = FunctionKind(ns.fn, ns.k if ns.fn == "dk" else None)
+    kind = FunctionKind(ns.fn, ns.k if _TABLE[ns.fn].takes_k else None)
     records = shifted_prime_sum(
         kind, ns.a, ns.x, ns.checkpoints, segment_width=ns.segment_width, workers=ns.workers
     )

@@ -1,31 +1,53 @@
 """Multiplicative functions: point evaluation, windowed tables, and
-Dirichlet convolution.
-
-Supported kinds
----------------
-d         divisor count
-dk        k-free divisor count: local factor min(e, k-1) + 1, so it
-          counts divisors that are k-free
-unitary   2**omega(n), the unitary divisor count (equals dk with k = 2)
-omega     number of distinct prime factors (additive, not multiplicative)
-mu        Moebius function
-phi       Euler totient
-mu_k      mu(m) when n = m**k for an integer m, else 0
-pillai    P(n) = (1/n) * sum_{j<=n} gcd(j, n), an exact rational with
-          local factor (p + e*(p-1)) / p
-"""
+Dirichlet convolution, for the kinds listed in ``_TABLE``."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from . import _kernels
-from .sieve import Segment, _check_at, _check_window, iter_segments, primes_up_to
+from .constants import CfSpec
+from .sieve import Segment, _check_at, _check_window, factorize_int, iter_segments, primes_up_to
 
-_PARAMETRIC = {"dk", "mu_k"}
-_TAGS = {"d", "dk", "unitary", "omega", "mu", "phi", "mu_k", "pillai"}
+
+@dataclass(frozen=True)
+class _Row:
+    rule: str  # its local factor _kernels.RULES[rule], and its _kernels.ACTIVE kernel if it has one
+    takes_k: bool  # whether the rule reads the kind's own k
+    k: int | None  # else the k the row fixes for its rule, if any
+    entries: tuple  # the public entries that accept it
+    weight: str | None  # f with g = f * d, as the CfSpec rule with the rule's k
+
+    def rule_k(self, kind):
+        return kind.k if self.takes_k else self.k
+
+    def weight_of(self, kind):
+        return CfSpec(self.weight, self.rule_k(kind))
+
+    @property
+    def ratio(self):
+        return len(_kernels.RULES[self.rule]) == 3
+
+
+_SUMMED = ("value_range", "shifted_prime_sum")
+_TABLE = {
+    "d": _Row("divisor", False, None, _SUMMED, "unit"),  # divisor count
+    "dk": _Row("kfree", True, None, _SUMMED, "mu_k"),  # k-free divisor count, dk = mu_k * d
+    "unitary": _Row("kfree", False, 2, _SUMMED, "mu_k"),  # unitary divisor count 2**omega: dk with k = 2
+    "omega": _Row("omega", False, None, ("value_range",), None),  # distinct prime factors (additive)
+    "mu": _Row("mu", False, None, ("value_range",), None),  # Moebius function
+    "phi": _Row("phi", False, None, (), None),  # Euler totient
+    "mu_k": _Row("mu_k", True, None, (), None),  # mu(m) when n = m**k for an integer m, else 0
+    # P(n) = (1/n) * sum_{j<=n} gcd(j, n), an exact rational; f(m) = mu(m)/m
+    "pillai": _Row("pillai", False, None, ("pillai_range", "shifted_prime_sum"), "pillai"),
+}
+
+
+def _accepted(entry):
+    """The tags of the kinds that ``entry`` accepts, in table order."""
+    return tuple(tag for tag, row in _TABLE.items() if entry in row.entries)
 
 
 @dataclass(frozen=True)
@@ -34,9 +56,9 @@ class FunctionKind:
     k: int | None = None
 
     def __post_init__(self):
-        if self.tag not in _TAGS:
+        if self.tag not in _TABLE:
             raise ValueError(f"unknown function kind {self.tag!r}")
-        if self.tag in _PARAMETRIC:
+        if _TABLE[self.tag].takes_k:
             if not isinstance(self.k, int) or self.k < 2:
                 raise ValueError(f"{self.tag} needs integer k >= 2")
         elif self.k is not None:
@@ -65,49 +87,14 @@ def moebius_kth(k):
 
 def evaluate(kind, factors):
     """Value of the function at the integer whose factorization is
-    ``factors`` ([(p, e), ...], distinct primes, e >= 1).
-
-    Integer kinds return int; pillai returns a Fraction in lowest terms.
-    """
-    tag = kind.tag
-    if tag == "d":
-        v = 1
-        for _, e in factors:
-            v *= e + 1
-        return v
-    if tag == "dk":
-        v = 1
-        for _, e in factors:
-            v *= min(e, kind.k - 1) + 1
-        return v
-    if tag == "unitary":
-        return 1 << len(factors)
-    if tag == "omega":
-        return len(factors)
-    if tag == "mu":
-        if any(e > 1 for _, e in factors):
-            return 0
-        return -1 if len(factors) % 2 else 1
-    if tag == "phi":
-        v = 1
-        for p, e in factors:
-            v *= p ** (e - 1) * (p - 1)
-        return v
-    if tag == "mu_k":
-        k = kind.k
-        if any(e % k for _, e in factors):
-            return 0
-        if any(e >= 2 * k for _, e in factors):
-            return 0
-        return -1 if len(factors) % 2 else 1
-    if tag == "pillai":
-        num = 1
-        den = 1
-        for p, e in factors:
-            num *= p + e * (p - 1)
-            den *= p
-        return Fraction(num, den)
-    raise ValueError(f"unknown function kind {tag!r}")
+    ``factors`` ([(p, e), ...], distinct primes, e >= 1): its rule's fold
+    in Python ints, an int, or for pillai a Fraction in lowest terms."""
+    row = _TABLE[kind.tag]
+    ufunc, *rule = _kernels.RULES[row.rule]
+    fold = prod if ufunc is np.multiply else sum
+    k = row.rule_k(kind)
+    values = [fold(int(factor(p, e, k)) for p, e in factors) for factor in rule]
+    return Fraction(*values) if row.ratio else values[0]
 
 
 def integer_kth_root(n, k):
@@ -135,22 +122,15 @@ def mu_k(n, k):
     r = integer_kth_root(n, k)
     if r**k != n:
         return 0
-    from .sieve import factorize_int
-
     return evaluate(MOEBIUS, factorize_int(r))
 
 
-_RANGE_KINDS = {"d", "dk", "unitary", "omega", "mu"}
-
-
 def value_range(kind, lo, hi, base=None, at=None):
-    """Values of an integer-valued kind over [lo, hi) as int64, or with
-    ``at``, strictly ascending int offsets in [0, hi - lo), at n = lo + at.
-
-    Kinds: d, dk, unitary, omega, mu.  ``base`` defaults to a fresh
-    sieve reaching isqrt(hi - 1).
-    """
-    if kind.tag not in _RANGE_KINDS:
+    """Values of a kind whose row names value_range (d, dk, unitary, omega,
+    mu) over [lo, hi) as int64, or with ``at``, strictly ascending int
+    offsets in [0, hi - lo), at n = lo + at.  ``base`` defaults to a fresh
+    sieve reaching isqrt(hi - 1)."""
+    if "value_range" not in _TABLE[kind.tag].entries:
         raise ValueError(f"no windowed table for kind {kind.tag!r}")
     return _values(kind, *_checked(lo, hi, base, at))
 
@@ -181,14 +161,12 @@ def _checked(lo, hi, base, at):
 
 def _values(kind, lo, hi, primes, grid=None):
     # kind's kernel over a checked window, or at the n of ``grid``
-    # (``_kernels.strike``), which the kernels take positionally; pillai
-    # gives the arrays (num, den)
-    impl = _kernels.ACTIVE
-    if kind.tag == "dk":
-        return impl.kfree(lo, hi, primes, kind.k, grid)
-    if kind.tag == "unitary":
-        return np.left_shift(np.int64(1), impl.omega(lo, hi, primes, grid))
-    return getattr(impl, "divisor" if kind.tag == "d" else kind.tag)(lo, hi, primes, grid)
+    # (``_kernels.strike``), which the kernels take positionally, after
+    # the k of a rule that reads one; pillai gives the arrays (num, den)
+    row = _TABLE[kind.tag]
+    k = row.rule_k(kind)
+    kernel = getattr(_kernels.ACTIVE, row.rule)
+    return kernel(lo, hi, primes, grid) if k is None else kernel(lo, hi, primes, k, grid)
 
 
 def function_table(kind, n, base=None):
@@ -208,6 +186,20 @@ def function_table(kind, n, base=None):
     return table
 
 
+def _divisor_weights(kind, nmax):
+    """Moduli q and weights c = f(q) with kind(n) = sum of c * d(n / q)
+    over the q | n, for n <= nmax and the kind's integer weight f: q = 1
+    for d, and q = j**k with c = mu(j) over the squarefree j for mu_k (dk
+    and unitary).  q = 1 comes first, also when nmax < 1 leaves no n."""
+    f = _TABLE[kind.tag].weight_of(kind)
+    if f.rule == "unit":
+        return np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    mu = function_table(MOEBIUS, integer_kth_root(max(nmax, 1), f.k))
+    j = np.nonzero(mu)[0]
+    # a k past nmax's bit length leaves j = 1 alone, and 1**k = 1
+    return j ** min(f.k, max(nmax, 1).bit_length()), mu[j]
+
+
 def mu_k_table(n, k):
     """Array t with t[m] = mu_k(m) for m <= n; support is the k-th powers."""
     n = int(n)
@@ -215,9 +207,8 @@ def mu_k_table(n, k):
     if n < 1 or k < 2:
         raise ValueError("need n >= 1 and k >= 2")
     t = np.zeros(n + 1, dtype=np.int64)
-    jmax = integer_kth_root(n, k)
-    # a k past n's bit length leaves j = 1 alone, and 1**k = 1
-    t[np.arange(1, jmax + 1) ** min(k, n.bit_length())] = value_range(MOEBIUS, 1, jmax + 1)
+    q, mu = _divisor_weights(k_free_divisor(k), n)  # mu_k is the weight of dk
+    t[q] = mu
     return t
 
 

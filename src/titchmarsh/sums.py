@@ -31,12 +31,11 @@ cancel).  Counted this way:
 - ``decompose``: each S1 modulus q = m in a column of its own, weight
   1, and S2 in one column shared by q = j**k, weight mu(j), over the
   large squarefree j;
-- the ``d``, ``dk`` and ``unitary`` sums, and ``felix`` T_m, the d sum
-  over the r of its class: one column, q = 1 for d and q = j**k,
-  weight mu(j) for dk (dk = mu_k * d; unitary is dk with k = 2), in
-  windows at least _COUNT_REACH times as wide as the count has pairs
-  (q, e), isqrt(n_max) of them for d.  Narrower windows, and so higher
-  n, go to the factor route (``_factor_part``).
+- the sums of the kinds with an integer weight f (``_divisor_weights``:
+  d, dk and unitary), and ``felix`` T_m, the d sum over the r of its
+  class: one column, in windows at least _COUNT_REACH times as wide as
+  the count has pairs (q, e), isqrt(n_max) of them for d.  Narrower
+  windows, and so higher n, go to the factor route (``_factor_part``).
 
 Factored: Pillai sums, the factor route above, and the total of
 ``decompose``, which stays on the kfree kernel so that s1 + s2 = total
@@ -64,19 +63,17 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _kernels
-from .constants import CfSpec, _check_shift, bk_product, cf_series, felix_cm, titchmarsh_factor
+from .constants import _check_shift, bk_product, cf_series, felix_cm
 from .functions import (
+    _TABLE,
     DIVISOR,
-    MOEBIUS,
     FunctionKind,
+    _accepted,
+    _divisor_weights,
     _values,
-    function_table,
-    integer_kth_root,
     k_free_divisor,
 )
 from .sieve import DEFAULT_SEGMENT_WIDTH, MAX_RANGE, _check_width, iter_segments, primes_up_to
-
-_SUM_KINDS = {"d", "dk", "unitary", "pillai"}
 
 _MAX_WORKERS = 256  # a pool may start a thread per worker, each holding a window
 
@@ -171,12 +168,10 @@ class SumRecord:
 
 
 @lru_cache(maxsize=None)
-def _main_constant(tag, k, a):
-    if tag == "d":
-        return titchmarsh_factor(a).value
-    if tag in {"dk", "unitary"}:
-        return bk_product(k if tag == "dk" else 2, a).value
-    return cf_series(CfSpec.pillai_rule(), a).value
+def _main_constant(kind, a):
+    # c_g = sum f(m) c_m / m for g = f * d: for f = mu_k, the closed product b_k
+    f = _TABLE[kind.tag].weight_of(kind)
+    return (bk_product(f.k, a) if f.rule == "mu_k" else cf_series(f, a)).value
 
 
 @dataclass(frozen=True)
@@ -386,19 +381,6 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, grid):
     return out
 
 
-def _divisor_weights(kind, nmax):
-    """Moduli q and weights c with kind(n) = sum of c * d(n / q) over the
-    q | n, for n <= nmax: q = 1 for d, and q = j**k with c = mu(j) over
-    the squarefree j for dk (dk = mu_k * d; unitary is dk with k = 2).
-    q = 1 always comes first, also when nmax < 1 leaves no n."""
-    if kind.tag == "d":
-        return np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    k = kind.k if kind.tag == "dk" else 2
-    mu = function_table(MOEBIUS, integer_kth_root(max(nmax, 1), k))
-    j = np.nonzero(mu)[0]
-    return j**k, mu[j]
-
-
 # The count makes one pair (q, e) per q*e*e < hi: isqrt(n_max) of them
 # for d, about 0.6 isqrt(n_max) log(isqrt(n_max)) for dk, whose pairs
 # share views (``_divisor_counts``).  The factor route strikes only the
@@ -417,9 +399,9 @@ _COUNT_REACH = 25
 
 def _value_part(kind, nmax):
     """The sweep part of a sum of g = kind over n <= nmax: one column,
-    counted for d, dk and unitary in windows wide enough for their
-    pairs, factored otherwise."""
-    qs, cs = (None, None) if kind.tag == "pillai" else _divisor_weights(kind, nmax)
+    counted for an integer g (so f = g * mu * mu is integer too) in
+    windows wide enough for its pairs, factored otherwise."""
+    qs, cs = (None, None) if _TABLE[kind.tag].ratio else _divisor_weights(kind, nmax)
     cols = None if qs is None else np.zeros(qs.size, dtype=np.int64)
 
     def part(base, lo, hi, grid):
@@ -436,7 +418,7 @@ def _factor_part(kind, base, lo, hi, grid):
     if not grid[3].any():
         return 0
     values = _values(kind, lo, hi, base.primes, grid)
-    if kind.tag == "pillai":
+    if _TABLE[kind.tag].ratio:
         return _kernels.ACTIVE.fixed_parts(*values, slice(None))
     return int(values.sum())
 
@@ -448,7 +430,7 @@ def shifted_prime_sum(
 
     Parameters
     ----------
-    kind : FunctionKind with tag in {d, dk, unitary, pillai}
+    kind : FunctionKind whose row names shifted_prime_sum: d, dk, unitary, pillai
     a : nonzero integer shift
     x : upper limit, 3 <= x <= 2**40
     checkpoints : ascending ints in [3, x]; default: powers of ten in
@@ -458,8 +440,8 @@ def shifted_prime_sum(
     contribute nothing (p - a < 1) and are tallied in skipped_primes.
     """
     a = _check_shift(a)
-    if not isinstance(kind, FunctionKind) or kind.tag not in _SUM_KINDS:
-        raise ValueError(f"kind must be one of {sorted(_SUM_KINDS)}")
+    if not isinstance(kind, FunctionKind) or "shifted_prime_sum" not in _TABLE[kind.tag].entries:
+        raise ValueError(f"kind must be one of {sorted(_accepted('shifted_prime_sum'))}")
     x = int(x)
     if not 3 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [3, {MAX_RANGE}]")
@@ -472,12 +454,12 @@ def shifted_prime_sum(
         raise ValueError("checkpoints must lie in [3, x]")
     if any(b <= a_ for a_, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    const = _main_constant(kind.tag, kind.k, a)
+    const = _main_constant(kind, a)
     rows = _sweep(a, x, _value_part(kind, x - a), segment_width, workers, checkpoints)
     records = []
     for cp in checkpoints:
         skipped, [total] = rows[cp]
-        if kind.tag == "pillai":
+        if _TABLE[kind.tag].ratio:
             total /= 1 << 64  # unscale the Pillai fixed point
         main = const * cp
         norm = (float(total) - main) / (cp / math.log(cp))
@@ -583,7 +565,7 @@ def decompose_s1_s2(k, a, x, B=2.0, *, segment_width=DEFAULT_SEGMENT_WIDTH, work
     if k < 2:
         raise ValueError("need k >= 2")
     if k >= 1 << 63:
-        # the moduli j**k and the exponent cap k - 1 are int64
+        # the moduli j**k are int64
         raise ValueError(f"need k <= 2**63 - 1, got k = {k}")
     if not 100 <= x <= MAX_RANGE:
         raise ValueError(f"x must be in [100, {MAX_RANGE}]")

@@ -32,6 +32,7 @@ from .constants import (
 )
 from .functions import (
     DIVISOR,
+    OMEGA,
     PILLAI,
     UNITARY_DIVISOR,
     evaluate,
@@ -78,7 +79,7 @@ def _pilots():
 
 def convolution_identity(n_conv=10**5, n_unitary=10**6):
     """(mu_k * d) == dk coefficientwise, and dk2 == 2^omega via the
-    independent omega kernel."""
+    independent omega kernel (the unitary kind is dk2 itself)."""
     d_tab = function_table(DIVISOR, n_conv)
     for k in (2, 3, 4):
         conv = dirichlet_convolve(mu_k_table(n_conv, k), d_tab)
@@ -88,7 +89,7 @@ def convolution_identity(n_conv=10**5, n_unitary=10**6):
             n = int(bad[0]) + 1
             return False, f"(mu_{k} * d)({n}) = {conv[n]} != dk({n}) = {direct[n]}"
     dk2 = function_table(k_free_divisor(2), n_unitary)
-    uni = function_table(UNITARY_DIVISOR, n_unitary)
+    uni = np.left_shift(1, function_table(OMEGA, n_unitary))
     bad = np.nonzero(dk2[1:] != uni[1:])[0]
     if bad.size:
         n = int(bad[0]) + 1

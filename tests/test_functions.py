@@ -63,6 +63,11 @@ def test_evaluate_examples():
     assert evaluate(MOEBIUS, factorize_int(30)) == -1
     assert evaluate(EULER_PHI, f12) == 4
     assert evaluate(moebius_kth(2), factorize_int(4)) == -1
+    # exponents past 63 (n from 2**64 on) are capped at k - 1 exactly,
+    # also where k - 1 is beyond int64
+    assert evaluate(k_free_divisor(65), factorize_int(2**80)) == 65
+    assert evaluate(k_free_divisor(100), factorize_int(2**80)) == 81
+    assert evaluate(k_free_divisor(2**70), [(2, 100)]) == 101
 
 
 def test_evaluate_at_1():
@@ -182,6 +187,12 @@ def test_unitary_equals_two_to_omega_up_to_1e6():
     assert np.array_equal(uni, dk2)
 
 
+def test_function_table_of_a_k_past_int64_is_the_divisor_table():
+    d = function_table(DIVISOR, 5000)
+    for k in (2**63, 2**63 + 1, 2**70):
+        assert np.array_equal(function_table(k_free_divisor(k), 5000), d), k
+
+
 def test_kfree_bounded_by_divisor_with_equality_iff_kfree():
     n = 10**6
     d = function_table(DIVISOR, n)
@@ -243,10 +254,16 @@ def test_pillai_oracle_domain():
 def test_value_range_matches_evaluate():
     lo, hi = 1000, 1600
     base = primes_up_to(40)
-    for kind in (DIVISOR, UNITARY_DIVISOR, OMEGA, MOEBIUS, k_free_divisor(3)):
+    at = np.arange(3, hi - lo, 7)
+    # a k from 2**63 + 1 on has a k - 1 beyond int64, which numpy cannot
+    # take as the exponent cap (OverflowError)
+    for kind in (DIVISOR, UNITARY_DIVISOR, OMEGA, MOEBIUS, k_free_divisor(3),
+                 k_free_divisor(2**63 + 1), k_free_divisor(2**70)):
         vals = value_range(kind, lo, hi, base=base)
         for n in range(lo, hi):
-            assert vals[n - lo] == evaluate(kind, factorize_int(n)), (kind.tag, n)
+            assert vals[n - lo] == evaluate(kind, factorize_int(n)), (kind.label, n)
+        some = value_range(kind, lo, hi, base=base, at=at)
+        assert some.tolist() == [evaluate(kind, factorize_int(lo + i)) for i in at], kind.label
 
 
 def test_value_range_rejects_unsupported_kind():

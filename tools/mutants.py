@@ -81,6 +81,24 @@ MUTANTS = [
      "    pi = 0\n",
      ["tests/test_sums.py::test_the_sweep_hands_each_part_the_bitmap_of_its_n",
       "tests/test_sums.py::test_a_factored_window_that_straddles_p_a_equals_its_oracle"]),
+    # mu_k's local factor -1 at every multiple of k, so mu_k(p**(2k)) = -1
+    ("src/titchmarsh/_kernels.py",
+     "np.where(e == k, -1, 0)",
+     "np.where(e % k == 0, -1, 0)",
+     ["tests/test_functions.py::test_mu_k_agrees_with_evaluate",
+      "tests/test_table.py::test_evaluate_equals_the_kernel_of_every_row"]),
+    # the unitary row reads the dk rule at k = 3
+    ("src/titchmarsh/functions.py",
+     '"unitary": _Row("kfree", False, 2,',
+     '"unitary": _Row("kfree", False, 3,',
+     ["tests/test_functions.py::test_evaluate_examples",
+      "tests/test_table.py::test_every_kernel_row_goes_through_its_active_name"]),
+    # the dk rule hands numpy the whole k - 1, which overflows from k = 2**63 + 1 on
+    ("src/titchmarsh/_kernels.py",
+     "np.minimum(e, min(k, 1 << 63) - 1)",
+     "np.minimum(e, k - 1)",
+     ["tests/test_functions.py::test_value_range_matches_evaluate",
+      "tests/test_functions.py::test_function_table_of_a_k_past_int64_is_the_divisor_table"]),
 ]
 
 
