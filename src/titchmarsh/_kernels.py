@@ -14,9 +14,8 @@ A sum reads its function only at n = p - a, about one n in log x, so
 the strike and every value kernel take an optional ``grid`` = (pi, g,
 rlo, hit), the n = g * (rlo + r) + pi at the set bits r of the bitmap
 hit: the sweep's primality flags, half the window (g = 2) when its n
-have one parity pi, or ``functions``' ``at`` on the whole window (g = 1,
-pi = 0).  Values come back in the order of the bits, and whole-window
-tables pass no grid.
+have one parity pi, else the whole window (g = 1, pi = 0).  Values come
+back in the order of the bits, and whole-window tables pass no grid.
 
 Every walk of base primes through a window splits the progressions
 first[i] + t * step[i] of ascending steps in one place: ``multiples``
@@ -294,9 +293,9 @@ RULES = {
     # k - 1 held to int64 for numpy; no exponent reaches 2**63 - 1, so a larger k caps nothing
     "kfree": (np.multiply, lambda p, e, k: np.minimum(e, min(k, 1 << 63) - 1) + 1),
     "omega": (np.add, lambda p, e, k: 1),
-    "mu": (np.multiply, lambda p, e, k: np.where(e > 1, 0, -1)),
+    "mu": (np.multiply, lambda p, e, k: (e > 1) - 1),
     "phi": (np.multiply, lambda p, e, k: p ** (e - 1) * (p - 1)),
-    "mu_k": (np.multiply, lambda p, e, k: np.where(e == k, -1, 0)),
+    "mu_k": (np.multiply, lambda p, e, k: (e != k) - 1),
     "pillai": (np.multiply, lambda p, e, k: p + e * (p - 1), lambda p, e, k: p),
 }
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _kernels
 from .constants import CfSpec
-from .sieve import Segment, _check_at, _check_window, factorize_int, iter_segments, primes_up_to
+from .sieve import Segment, _check_window, factorize_int, iter_segments, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,21 @@ def evaluate(kind, factors):
 
 
 def integer_kth_root(n, k):
-    """Largest r with r**k <= n (n >= 1, k >= 1); float seed, exact fixup."""
+    """Largest r with r**k <= n (n >= 1, k >= 1), by integer Newton
+    steps down from 2**ceil(bits / k), which is above the root; a step
+    that does not fall has reached it."""
+    n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    if k >= int(n).bit_length():
+    bits = n.bit_length()
+    if k >= bits:
         return 1  # 2**k > n
-    r = max(1, round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    r = 1 << -(-bits // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def mu_k(n, k):
@@ -125,38 +129,30 @@ def mu_k(n, k):
     return evaluate(MOEBIUS, factorize_int(r))
 
 
-def value_range(kind, lo, hi, base=None, at=None):
+def value_range(kind, lo, hi, base=None):
     """Values of a kind whose row names value_range (d, dk, unitary, omega,
-    mu) over [lo, hi) as int64, or with ``at``, strictly ascending int
-    offsets in [0, hi - lo), at n = lo + at.  ``base`` defaults to a fresh
-    sieve reaching isqrt(hi - 1)."""
+    mu) over [lo, hi) as int64.  ``base`` defaults to a fresh sieve
+    reaching isqrt(hi - 1)."""
     if "value_range" not in _TABLE[kind.tag].entries:
         raise ValueError(f"no windowed table for kind {kind.tag!r}")
-    return _values(kind, *_checked(lo, hi, base, at))
+    return _values(kind, *_checked(lo, hi, base))
 
 
-def pillai_range(lo, hi, base=None, at=None):
-    """Numerator and denominator arrays of P(n) over [lo, hi), or with
-    ``at``, strictly ascending int offsets in [0, hi - lo), at n = lo + at.
+def pillai_range(lo, hi, base=None):
+    """Numerator and denominator arrays of P(n) over [lo, hi).
 
     Entries are the exact product forms (not reduced); num/den == P(n).
     """
-    return _values(PILLAI, *_checked(lo, hi, base, at))
+    return _values(PILLAI, *_checked(lo, hi, base))
 
 
-def _checked(lo, hi, base, at):
-    # the kernels' arguments (lo, hi, primes, grid) for a checked window;
-    # ``at`` is set on a full-width bitmap, bit r being n = lo + r
+def _checked(lo, hi, base):
+    # the kernels' arguments (lo, hi, primes) for a checked window
     seg = Segment(int(lo), int(hi))
     if base is None:
         base = primes_up_to(max(2, isqrt(seg.hi - 1)))
     _check_window(seg, base, 1)
-    _check_at(seg, at)
-    if at is None:
-        return seg.lo, seg.hi, base.primes, None
-    hit = np.zeros(seg.width, dtype=np.bool_)
-    hit[np.asarray(at, dtype=np.int64)] = True
-    return seg.lo, seg.hi, base.primes, (0, 1, seg.lo, hit)
+    return seg.lo, seg.hi, base.primes
 
 
 def _values(kind, lo, hi, primes, grid=None):
@@ -169,7 +165,7 @@ def _values(kind, lo, hi, primes, grid=None):
     return kernel(lo, hi, primes, grid) if k is None else kernel(lo, hi, primes, k, grid)
 
 
-def function_table(kind, n, base=None):
+def function_table(kind, n):
     """Array t of length n + 1 with t[m] = kind(m) for 1 <= m <= n, t[0] = 0.
 
     Filled window by window, each at most DEFAULT_SEGMENT_WIDTH wide,
@@ -178,8 +174,7 @@ def function_table(kind, n, base=None):
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    if base is None:
-        base = primes_up_to(max(2, isqrt(n)))
+    base = primes_up_to(max(2, isqrt(n)))
     table = np.zeros(n + 1, dtype=np.int64)
     for seg in iter_segments(1, n + 1):
         table[seg.lo : seg.hi] = value_range(kind, seg.lo, seg.hi, base=base)

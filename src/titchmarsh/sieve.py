@@ -118,17 +118,6 @@ def _check_window(seg, base, min_lo):
         raise ValueError(f"base primes reach {base.limit}, need {need}")
 
 
-def _check_at(seg, at):
-    # the kernels trust ``at`` to be 1-d, strictly ascending, in the window
-    at = np.asarray([] if at is None else at)
-    if at.ndim != 1 or (at.size and at.dtype.kind not in "iu"):
-        raise ValueError("at must be a 1-d array of integer offsets")
-    if (at[1:] <= at[:-1]).any():
-        raise ValueError("at must be strictly ascending")
-    if at.size and not (at[0] >= 0 and at[-1] < seg.width):
-        raise ValueError(f"at must lie in [0, {seg.width})")
-
-
 def primality_range(seg, base):
     """Boolean primality bitmap for the window.
 

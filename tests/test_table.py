@@ -124,12 +124,11 @@ def test_every_kernel_row_goes_through_its_active_name(monkeypatch):
     for kind in _KINDS:
         if kind.tag not in _KERNELS:
             continue
-        for at in (None, [0, 5]):
-            calls.clear()
-            if kind.tag == "pillai":
-                pillai_range(100, 110, at=at)
-            else:
-                value_range(kind, 100, 110, at=at)
-            # kfree takes its k before grid: dk's own, 2 for unitary
-            k = {"dk": (kind.k,), "unitary": (2,)}.get(kind.tag, ())
-            assert calls == [(_KERNELS[kind.tag], *k)], (kind.label, at)
+        calls.clear()
+        if kind.tag == "pillai":
+            pillai_range(100, 110)
+        else:
+            value_range(kind, 100, 110)
+        # kfree takes its k before grid: dk's own, 2 for unitary
+        k = {"dk": (kind.k,), "unitary": (2,)}.get(kind.tag, ())
+        assert calls == [(_KERNELS[kind.tag], *k)], kind.label

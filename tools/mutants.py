@@ -83,10 +83,16 @@ MUTANTS = [
       "tests/test_sums.py::test_a_factored_window_that_straddles_p_a_equals_its_oracle"]),
     # mu_k's local factor -1 at every multiple of k, so mu_k(p**(2k)) = -1
     ("src/titchmarsh/_kernels.py",
-     "np.where(e == k, -1, 0)",
-     "np.where(e % k == 0, -1, 0)",
+     "(e != k) - 1",
+     "(e % k != 0) - 1",
      ["tests/test_functions.py::test_mu_k_agrees_with_evaluate",
       "tests/test_table.py::test_evaluate_equals_the_kernel_of_every_row"]),
+    # mu's local factor -1 also at p**2, so mu(12) = 1
+    ("src/titchmarsh/_kernels.py",
+     "(e > 1) - 1",
+     "(e > 2) - 1",
+     ["tests/test_functions.py::test_evaluate_examples",
+      "tests/test_functions.py::test_mu_k_examples"]),
     # the unitary row reads the dk rule at k = 3
     ("src/titchmarsh/functions.py",
      '"unitary": _Row("kfree", False, 2,',
@@ -99,6 +105,13 @@ MUTANTS = [
      "np.minimum(e, k - 1)",
      ["tests/test_functions.py::test_value_range_matches_evaluate",
       "tests/test_functions.py::test_function_table_of_a_k_past_int64_is_the_divisor_table"]),
+    # integer Newton started at 2**floor(bits / k), below the root of
+    # most n, where its first step rises and it stops at once
+    ("src/titchmarsh/functions.py",
+     "    r = 1 << -(-bits // k)\n",
+     "    r = 1 << bits // k\n",
+     ["tests/test_functions.py::test_integer_kth_root_near_perfect_powers",
+      "tests/test_functions.py::test_integer_kth_root_is_exact_past_double_precision"]),
 ]
 
 
