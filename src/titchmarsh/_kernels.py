@@ -38,8 +38,9 @@ ascending.
 
 ``ACTIVE`` is the namespace the rest of the package calls the kernels
 through, one attribute per kernel, so any of them can be swapped for a
-wrapper at run time.  Callers pass ``grid`` positionally, so a wrapper
-that forwards ``*args`` forwards it too.
+wrapper at run time.  Every value kernel takes (lo, hi, primes, k, grid)
+positionally, k unread by a rule without one, so a wrapper that
+forwards ``*args`` forwards them too.
 """
 
 from functools import partial
@@ -300,12 +301,13 @@ RULES = {
 }
 
 
-def _fold(rule, lo, hi, primes, grid=None, k=None):
+def _fold(rule, lo, hi, primes, k=None, grid=None):
     """The kernel of RULES[rule], one int64 array per factor: ufunc's
     identity combined by ufunc with factor(p, e, k) for every prime power
     p**e exactly dividing each n in the window (with ``grid``, at its set
     bits, in their order), in whatever order the strike yields them.  A
-    rule of one factor gives its one array, Pillai's the pair."""
+    rule of one factor gives its one array, Pillai's the pair; a rule
+    that does not read k ignores it."""
     ufunc, *factors = RULES[rule]
     size = hi - lo if grid is None else np.count_nonzero(grid[3])
     out = [np.full(size, ufunc.identity, dtype=np.int64) for _ in factors]
@@ -318,11 +320,6 @@ def _fold(rule, lo, hi, primes, grid=None, k=None):
                 # an index array may repeat a position
                 ufunc.at(arr, idx, factor(p, e, k))
     return out[0] if len(out) == 1 else tuple(out)
-
-
-def _kfree(lo, hi, primes, k, grid=None):
-    # the one kernel whose rule reads k, which it takes before grid
-    return _fold("kfree", lo, hi, primes, grid, k)
 
 
 def _primality(lo, hi, primes, first=None):
@@ -365,7 +362,7 @@ def _fixed_parts(num, den, idx):
 ACTIVE = SimpleNamespace(
     primality=_primality,
     divisor=partial(_fold, "divisor"),
-    kfree=_kfree,
+    kfree=partial(_fold, "kfree"),
     omega=partial(_fold, "omega"),
     mu=partial(_fold, "mu"),
     pillai=partial(_fold, "pillai"),

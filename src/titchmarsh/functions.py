@@ -157,12 +157,9 @@ def _checked(lo, hi, base):
 
 def _values(kind, lo, hi, primes, grid=None):
     # kind's kernel over a checked window, or at the n of ``grid``
-    # (``_kernels.strike``), which the kernels take positionally, after
-    # the k of a rule that reads one; pillai gives the arrays (num, den)
+    # (``_kernels.strike``); pillai gives the arrays (num, den)
     row = _TABLE[kind.tag]
-    k = row.rule_k(kind)
-    kernel = getattr(_kernels.ACTIVE, row.rule)
-    return kernel(lo, hi, primes, grid) if k is None else kernel(lo, hi, primes, k, grid)
+    return getattr(_kernels.ACTIVE, row.rule)(lo, hi, primes, row.rule_k(kind), grid)
 
 
 def function_table(kind, n):

@@ -95,13 +95,13 @@ def iter_segments(lo, hi, width=DEFAULT_SEGMENT_WIDTH, cuts=()):
     return [Segment(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _check_width(width, lo, hi, grid):
+def _check_width(width, lo, hi, step):
     # a segment width outside [1, DEFAULT_SEGMENT_WIDTH] is refused, and so
-    # is one whose grid, ``grid`` values wide, cuts [lo, hi) into more than
-    # MAX_SEGMENTS segments; the message names ``width``, the caller's
+    # is one whose segments, each spanning ``step`` values of [lo, hi), cut
+    # it into more than MAX_SEGMENTS; the message names ``width``, the caller's
     if not 1 <= width <= DEFAULT_SEGMENT_WIDTH:
         raise ValueError(f"segment width must lie in [1, {DEFAULT_SEGMENT_WIDTH}], got {width}")
-    if hi - lo > MAX_SEGMENTS * grid:
+    if hi - lo > MAX_SEGMENTS * step:
         raise ValueError(
             f"segment width {width} is too narrow for [{lo}, {hi}): "
             f"the range spans more than {MAX_SEGMENTS} segments"

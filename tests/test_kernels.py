@@ -178,14 +178,14 @@ def _check_sparse(lo, hi, at, g=None):
     base = _BASE.primes
     at = np.asarray(at, dtype=np.int64)
     bits = grid(lo, hi, lo + at, g)
-    for name, args in (("divisor", ()), ("kfree", (2,)), ("kfree", (3,)), ("omega", ()), ("mu", ())):
+    for name, k in (("divisor", None), ("kfree", 2), ("kfree", 3), ("omega", None), ("mu", None)):
         kernel = getattr(impl, name)
-        dense = kernel(lo, hi, base, *args)
-        sparse = kernel(lo, hi, base, *args, bits)
+        dense = kernel(lo, hi, base, k)
+        sparse = kernel(lo, hi, base, k, bits)
         assert sparse.shape == at.shape
-        assert np.array_equal(sparse, dense[at]), (name, args, lo, hi)
+        assert np.array_equal(sparse, dense[at]), (name, k, lo, hi)
     num, den = impl.pillai(lo, hi, base)
-    snum, sden = impl.pillai(lo, hi, base, bits)
+    snum, sden = impl.pillai(lo, hi, base, None, bits)
     assert impl.fixed_parts(snum, sden, slice(None)) == impl.fixed_parts(num, den, at), (lo, hi)
 
 

@@ -919,10 +919,9 @@ def _record_at(monkeypatch, name):
     # None when it factors the whole window
     calls = []
     kernel = getattr(_kernels.ACTIVE, name)
-    narg = 5 if name == "kfree" else 4
 
     def recorded(*args):
-        bits = args[narg - 1] if len(args) == narg else None
+        bits = args[4] if len(args) == 5 else None
         calls.append(None if bits is None else held(bits))
         return kernel(*args)
 

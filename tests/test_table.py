@@ -112,9 +112,9 @@ def test_every_kernel_row_goes_through_its_active_name(monkeypatch):
     calls = []
 
     def recorded(name, kernel):
-        # the kernel's name and the arguments between primes and grid
+        # the kernel's name and its k, the argument between primes and grid
         def call(*args):
-            calls.append((name, *args[3:-1]))
+            calls.append((name, args[3]))
             return kernel(*args)
 
         return call
@@ -129,6 +129,6 @@ def test_every_kernel_row_goes_through_its_active_name(monkeypatch):
             pillai_range(100, 110)
         else:
             value_range(kind, 100, 110)
-        # kfree takes its k before grid: dk's own, 2 for unitary
-        k = {"dk": (kind.k,), "unitary": (2,)}.get(kind.tag, ())
-        assert calls == [(_KERNELS[kind.tag], *k)], kind.label
+        # dk's own k, 2 for unitary, and None for the rules that read none
+        k = {"dk": kind.k, "unitary": 2}.get(kind.tag)
+        assert calls == [(_KERNELS[kind.tag], k)], kind.label

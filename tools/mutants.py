@@ -112,6 +112,13 @@ MUTANTS = [
      "    r = 1 << bits // k\n",
      ["tests/test_functions.py::test_integer_kth_root_near_perfect_powers",
       "tests/test_functions.py::test_integer_kth_root_is_exact_past_double_precision"]),
+    # the value kernels' old order, grid before k: the sweep's bitmap is
+    # read as a k and dk's k as a grid
+    ("src/titchmarsh/_kernels.py",
+     "def _fold(rule, lo, hi, primes, k=None, grid=None):",
+     "def _fold(rule, lo, hi, primes, grid=None, k=None):",
+     ["tests/test_sums.py::test_sums_factor_only_the_eligible_n",
+      "tests/test_table.py::test_evaluate_equals_the_kernel_of_every_row"]),
 ]
 
 
