@@ -11,11 +11,11 @@ would have two factors above sqrt(n), exceeding n).  Each value kernel
 folds its local-factor rule (``RULES``) over that stream.
 
 A sum reads its function only at n = p - a, about one n in log x, so
-the strike and every value kernel take an optional ``grid`` = (pi, g,
-rlo, hit), the n = g * (rlo + r) + pi at the set bits r of the bitmap
-hit: the sweep's primality flags, half the window (g = 2) when its n
-have one parity pi, else the whole window (g = 1, pi = 0).  Values come
-back in the order of the bits, and whole-window tables pass no grid.
+the strike and every value kernel take an optional ``grid`` = (g, hit),
+the n = lo + g * r at the set bits r of the bitmap hit, lo being the
+window's: the sweep's primality flags, half the window (g = 2) when its
+n have one parity, else the whole window (g = 1).  Values come back in
+the order of the bits, and whole-window tables pass no grid.
 
 Every walk of base primes through a window splits the progressions
 first[i] + t * step[i] of ascending steps in one place: ``multiples``
@@ -172,7 +172,7 @@ def _divide(residual, idx, p):
 
 def strike(lo, hi, primes, grid=None):
     """Factor every n in [lo, hi) over the base primes, or with ``grid``,
-    only the n = g * (rlo + r) + pi in it at the set bits r of hit.
+    only the n = lo + g * r in it at the set bits r of hit.
 
     Yields (idx, p, e): the positions idx of the multiples of p and the
     exponent e of p at each.  A position is a window offset, or with
@@ -188,8 +188,8 @@ def strike(lo, hi, primes, grid=None):
         residual = np.arange(lo, hi, dtype=np.int64)
         yield from _strike_dense(lo, hi - lo, primes, residual)
     else:
-        residual = np.flatnonzero(grid[3])  # the set bits r, made their n below
-        yield from _strike_sparse(primes, grid, residual)
+        residual = np.flatnonzero(grid[1])  # the set bits r, made their n below
+        yield from _strike_sparse(lo, primes, grid, residual)
     for c in range(0, residual.size, BATCH_HITS):
         r = residual[c : c + BATCH_HITS]
         idx = np.nonzero(r > 1)[0]
@@ -217,31 +217,33 @@ def _strike_dense(lo, width, primes, residual):
             yield idx, p, _divide(residual, idx, p)
 
 
-def _on_bitmap(s, start, pi, g):
-    # the n = 0 (mod s) from start on as r = (n - pi) / g: the first r and
-    # the stride in r.  For g = 2 an odd s keeps its stride, with 2r + pi
-    # = 0 (mod s) at r = -pi * (s + 1) / 2; an even s has stride s / 2 in
-    # the even n and no odd n, so it counts only where s & 1 >= pi.  The
-    # first r is built in place: for the ~60,000 base primes of a window
-    # near 2**39, fresh temporaries cost twice the arithmetic.
+def _on_bitmap(s, start, lo, g):
+    # the n = 0 (mod s) from start >= lo on as bits r, n = lo + g*r: the
+    # first r and the stride in r.  For g = 2, n = 2r' + pi with pi = lo
+    # mod 2 and r' = r + lo // 2; an odd s keeps its stride, with r' =
+    # -pi * (s + 1) / 2 (mod s); an even s has stride s / 2 in the even n
+    # and no odd n, so it counts only where s & 1 >= pi.  The first r is
+    # built in place: for the ~60,000 base primes of a window near 2**39,
+    # fresh temporaries cost twice the arithmetic.
+    pi = lo % g
     odd = s & 1
     step = s >> (odd ^ 1) if g == 2 else s
-    r = -((pi - start) // g)
+    r = -((lo - start) // g)
     first = (s + 1) >> 1
     first *= -pi
-    first -= r
+    first -= r + lo // g
     first %= step
     first += r
     return first, step, odd >= pi
 
 
-def _strike_sparse(primes, grid, residual):
+def _strike_sparse(lo, primes, grid, residual):
     # the three groups of the module docstring, each in a few array
     # passes rather than one Python iteration per prime.  ``residual``
     # comes in as the set bits r, and becomes their n once the rank map
     # is read off it.  The bitmap group runs first and frees its maps
     # before the residual group makes its temporaries, the largest.
-    pi, g, rlo, hit = grid
+    g, hit = grid
     size = hit.size
     # bitmap offset -> position, read only at the set bits: the first
     # position of its 2**16 block plus a uint16 rank in the block, half
@@ -250,15 +252,14 @@ def _strike_sparse(primes, grid, residual):
     rank = np.empty(size, dtype=np.uint16)
     rank[residual] = np.arange(residual.size) - block[residual >> 16]
     residual *= g
-    residual += g * rlo + pi
+    residual += lo
     if not (residual.size and primes.size):
         return
     # the residual group ends where the strided views begin, or earlier
     few = max(-(-size // residual.size), -(-size // BATCH_HITS))
     mid = max(1, int(np.searchsorted(primes, min(few, size // STRIDE_RATIO))))
     odd = primes[mid:]
-    first = _on_bitmap(odd, g * rlo + pi, pi, g)[0]
-    first -= rlo
+    first = _on_bitmap(odd, lo, lo, g)[0]
     for offs, which in _hits(hit, first, odd):
         if which.size:
             idx = block[offs >> 16] + rank[offs]
@@ -309,7 +310,7 @@ def _fold(rule, lo, hi, primes, k=None, grid=None):
     rule of one factor gives its one array, Pillai's the pair; a rule
     that does not read k ignores it."""
     ufunc, *factors = RULES[rule]
-    size = hi - lo if grid is None else np.count_nonzero(grid[3])
+    size = hi - lo if grid is None else np.count_nonzero(grid[1])
     out = [np.full(size, ufunc.identity, dtype=np.int64) for _ in factors]
     for idx, p, e in strike(lo, hi, primes, grid):
         for arr, factor in zip(out, factors):

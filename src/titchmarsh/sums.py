@@ -8,13 +8,13 @@ the columns up to each cut.  The sums and ``decompose`` sweep the line
 (p - a) / m the r of d(r) itself.  Every sweep strikes odd p only: its
 bitmap runs over t, p = c + M*t, M = lcm(m, 2), each base prime striking
 its one root class, so a window holds M times the primes of a line
-window at the cost of one.  p = 2 is read apart, once, as a one-integer
-window of its own (``_Class``, ``_sweep``), so on the line and in the
-class of an odd m the n of every window have one parity, and the bitmap
-covers half the window.  Segment jobs run on a thread pool (numpy
-releases the GIL inside its array operations) and are reduced strictly
-in segment order, which together with exact integer accumulation makes
-every sum bit-identical across segment widths and worker counts.
+window at the cost of one.  p = 2 is read apart, once, in a window of
+its own (``_Class``, ``_sweep``), so on the line and in the class of an
+odd m the n of every segment have one parity, and the bitmap covers
+half the window.  Segment jobs run on a thread pool (numpy releases the
+GIL inside its array operations) and are reduced strictly in segment
+order, which together with exact integer accumulation makes every sum
+bit-identical across segment widths and worker counts.
 
 Divisor-type sums are counted, not factored.  With d(r) = 2 #{e | r :
 e*e <= r} - [r is a square], the sum of d(n / q) over the n divisible
@@ -184,9 +184,9 @@ class _Class:
     primes up to isqrt(x) that do not divide M, ``first`` the t from
     which each strikes the class (``_kernels._primality``), and
     ``start`` the t of the first p >= max(3, least) swept.  p = 2 is in
-    no odd class; ``two`` says whether the sweep reads it, apart from
-    every window, as a one-integer window of its own: when 2 = a (mod m)
-    and least <= 2 <= x."""
+    no odd class; ``two`` says whether the sweep takes it, apart from
+    every segment, in a window of its own (``_sweep``): when 2 = a (mod
+    m) and least <= 2 <= x."""
 
     m: int
     c: int
@@ -229,13 +229,12 @@ def _eligible_primes(seg, sieved, a):
 
 def _window(seg, cls, a, m):
     # the skipped primes of the segment of t, and the n-window [lo, hi)
-    # and grid its part gets (``_sweep``): bit r of the flags is t =
-    # seg.lo + r, n = g*t - k = g*(rlo + r) + pi
+    # and grid (g, hit) its part gets (``_sweep``): bit r of the flags is
+    # t = seg.lo + r, n = g*t - k = lo + g*r
     flags = _kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first)
     nskip = _eligible_primes(seg, (cls, flags), a)[1]
     g, k = cls.m // m, (a - cls.c) // m
-    pi = -k % g
-    return nskip, max(1, g * seg.lo - k), g * (seg.hi - 1) - k + 1, (pi, g, seg.lo - (k + pi) // g, flags)
+    return nskip, g * seg.lo - k, g * (seg.hi - 1) - k + 1, (g, flags)
 
 
 @lru_cache(maxsize=4)
@@ -261,30 +260,28 @@ def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
     k, with g = M / m in {1, 2} and k = (a - c) / m.  A segment is
     ceil(segment_width / g) values of t wide, about segment_width
     integers p, and a refused width is named as the caller gave it.
-    ``part(base, lo, hi, grid)`` returns one segment's columns, a list
-    of exact ints, read off the grid (pi, g, rlo, hit) of ``_window``:
-    hit is the segment's primality flags, set at the n = g*(rlo + r) +
-    pi of its primes p > a, in the n-window [lo, hi) = [max(1, g*seg.lo
-    - k), g*(seg.hi - 1) - k + 1); base is the primes up to the square
-    root of the largest n or p.  p = 2 is in no window: when 2 > a it is
-    the one-bit grid of n = (2 - a) / m, [lo, hi) = [n, n + 1), whose
-    columns every cut adds (all cuts are at least 3), and otherwise a
-    skipped prime.  So for odd m, the line included, pi = -k mod 2 and
-    the grid covers half the window.  Columns are summed in segment
-    order; a class with no odd p in [3, x] has the columns of p = 2
-    alone, or of an empty grid."""
+    ``part(base, lo, hi, grid)`` returns one window's columns, a list
+    of exact ints, read off the grid (g, hit) of ``_window``: hit is the
+    segment's primality flags, set at the n = lo + g*r of its primes p >
+    a, in the n-window [lo, hi) = [g*seg.lo - k, g*(seg.hi - 1) - k + 1),
+    lo <= 0 where it straddles p = a; base is the primes up to the
+    square root of the largest n or p.  So for odd m, the line included,
+    the grid covers half the window.  p = 2's own window, g = 1, opens
+    the sum at the least n with a + m*n >= 2: one bit, that n's, when 2
+    > a and the sweep reads p = 2, whose columns every cut then adds
+    (all cuts are at least 3), and none otherwise.  Columns are summed
+    in segment order; a class with no odd p in [3, x] has the columns of
+    p = 2's window alone."""
     workers = _resolve_workers(workers)
     base = _base_primes(max(2, isqrt(max(x, x - a, 4))))
     cls = _class_sieve(a, m, x, base.primes, least)
     ends = {cut: (cut - cls.c) // cls.m + 1 for cut in (*cuts, x)}
-    skipped, acc = int(cls.two and a >= 2), None
-    if cls.two and a < 2:
-        two = (2 - a) // m
-        acc = part(base, two, two + 1, (0, 1, two, np.ones(1, dtype=np.bool_)))
+    read = int(cls.two and a < 2)
+    two = -((a - 2) // m)
+    skipped = int(cls.two) - read
+    acc = part(base, two, two + read, (1, np.ones(read, dtype=np.bool_)))
     if cls.start >= ends[x]:
         # no odd p of the class up to x: the columns of p = 2 alone
-        if acc is None:
-            acc = part(base, 1, 1, (0, 1, 1, np.zeros(0, dtype=np.bool_)))
         return {cut: (skipped, acc) for cut in ends}
     stops = set(ends.values())
     width = -(-segment_width // (cls.m // m))
@@ -298,7 +295,7 @@ def _sweep(a, x, part, segment_width, workers, cuts=(), m=1, least=2):
     rows = {}
     for hi, nskip, cols in _run_ordered(segs, job, workers):
         skipped += nskip
-        acc = cols if acc is None else [s + c for s, c in zip(acc, cols)]
+        acc = [s + c for s, c in zip(acc, cols)]
         if hi in stops:
             rows[hi] = (skipped, acc)
     return {cut: rows[end] for cut, end in ends.items()}
@@ -321,8 +318,8 @@ def _pairs(qs, hi):
 def _divisor_counts(qs, cs, cols, ncols, lo, hi, grid):
     """out[c] = the sum of cs[i] * d(n / qs[i]) over the moduli i with
     cols[i] = c and the n divisible by qs[i], for ascending moduli qs and
-    ncols columns, counted on the bitmap of the window's grid (pi, g,
-    rlo, hit): the n in [lo, hi) at its set bits r, n = g*(rlo + r) + pi.
+    ncols columns, counted on the bitmap of the window's grid (g, hit):
+    the n in [lo, hi) at its set bits r, n = lo + g*r.
 
     d(r) = 2 #{e | r : e*e <= r} - [r is a square], so each pair (q, e)
     with q*e*e < hi counts the n = 0 (mod q*e) with n >= q*e*e twice,
@@ -336,7 +333,7 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, grid):
     view once with ``_kernels._counts``; a key whose weights cancel is
     not read.  No integer of the window is factored."""
     out = np.zeros(ncols, dtype=np.int64)
-    pi, g, rlo, hit = grid
+    g, hit = grid
     if not hit.any():
         return out
     size = hit.size
@@ -351,16 +348,16 @@ def _divisor_counts(qs, cs, cols, ncols, lo, hi, grid):
         start = np.maximum(sq, -(-lo // s) * s)
         near = np.flatnonzero(start < hi)
         which, s, sq, start = which[near], s[near], sq[near], start[near]
-        t, u, on = _kernels._on_bitmap(s, start, pi, g)
-        on = np.flatnonzero(on & (t < rlo + size))
-        # the squares s*e >= lo of the parity of the n
+        t, u, on = _kernels._on_bitmap(s, start, lo, g)
+        on = np.flatnonzero(on & (t < size))
+        # the squares s*e >= lo on the bitmap
         top = np.flatnonzero(sq >= lo)
-        top = top[sq[top] % g == pi]
+        top = top[(sq[top] - lo) % g == 0]
         # the key of (u, t, column) is below size**2 * ncols: under 2**62
         # for the sweep's windows (at most 2**20 + 1 wide) and numbers of
         # moduli (under 2**21)
         u = np.minimum(u[on], size)
-        key = np.concatenate([u * size + t[on], (sq[top] - pi) // g + size * size]) - rlo
+        key = np.concatenate([u * size + t[on], (sq[top] - lo) // g + size * size])
         at = np.concatenate([which[on], which[top]])
         key = key * ncols + cols[at]
         w = cs[at] * np.repeat([2, -1], [on.size, top.size])
@@ -405,7 +402,7 @@ def _value_part(kind, nmax):
     cols = None if qs is None else np.zeros(qs.size, dtype=np.int64)
 
     def part(base, lo, hi, grid):
-        if qs is not None and _pairs(qs, hi)[1].sum() * _COUNT_REACH <= hi - lo:
+        if qs is not None and _pairs(qs, hi)[1].sum() * _COUNT_REACH <= hi - max(lo, 1):
             return _divisor_counts(qs, cs, cols, 1, lo, hi, grid).tolist()
         return [_factor_part(kind, base, lo, hi, grid)]
 
@@ -415,7 +412,7 @@ def _value_part(kind, nmax):
 def _factor_part(kind, base, lo, hi, grid):
     # sum of g(n) from the value kernel, factoring only the n of the
     # window's grid; pillai terms are scaled by 2**64, exactly
-    if not grid[3].any():
+    if not grid[1].any():
         return 0
     values = _values(kind, lo, hi, base.primes, grid)
     if _TABLE[kind.tag].ratio:

@@ -177,15 +177,15 @@ def _check_sparse(lo, hi, at, g=None):
     impl = _kernels.ACTIVE
     base = _BASE.primes
     at = np.asarray(at, dtype=np.int64)
-    bits = grid(lo, hi, lo + at, g)
+    first, _, bits = grid(lo, hi, lo + at, g)
     for name, k in (("divisor", None), ("kfree", 2), ("kfree", 3), ("omega", None), ("mu", None)):
         kernel = getattr(impl, name)
         dense = kernel(lo, hi, base, k)
-        sparse = kernel(lo, hi, base, k, bits)
+        sparse = kernel(first, hi, base, k, bits)
         assert sparse.shape == at.shape
         assert np.array_equal(sparse, dense[at]), (name, k, lo, hi)
     num, den = impl.pillai(lo, hi, base)
-    snum, sden = impl.pillai(lo, hi, base, None, bits)
+    snum, sden = impl.pillai(first, hi, base, None, bits)
     assert impl.fixed_parts(snum, sden, slice(None)) == impl.fixed_parts(num, den, at), (lo, hi)
 
 
@@ -245,8 +245,8 @@ def test_sparse_repeated_index_in_one_batch():
     at = np.arange((n - lo) % 5, hi - lo, 5)
     i = int(np.searchsorted(at, n - lo))
     assert at[i] == n - lo
-    bits = grid(lo, hi, lo + at)
-    batches = [idx for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, bits) if (p == 4099).any()]
+    first, _, bits = grid(lo, hi, lo + at)
+    batches = [idx for idx, p, _ in _kernels.strike(first, hi, _BASE.primes, bits) if (p == 4099).any()]
     assert len(batches) == 1 and np.count_nonzero(batches[0] == i) == 2
     _check_sparse(lo, hi, at)
 
@@ -266,7 +266,8 @@ def test_sparse_more_offsets_than_a_batch():
         size = (hi - lo) // 2
         few = max(-(-size // at.size), -(-size // _kernels.BATCH_HITS))
         passes, batches, cofactors, batch_primes = [], [], [], set()
-        for idx, p, _ in _kernels.strike(lo, hi, _BASE.primes, grid(lo, hi, lo + at, 2)):
+        first, _, bits = grid(lo, hi, lo + at, 2)
+        for idx, p, _ in _kernels.strike(first, hi, _BASE.primes, bits):
             assert idx.shape == p.shape
             if p.max() < few or (p == 2).all():
                 passes.append(p[0])
@@ -291,7 +292,8 @@ def test_sparse_window_batches_above_the_stride_ratio():
     assert (hi - lo) // _kernels.STRIDE_RATIO < 4093
     rng = np.random.default_rng(5)
     at = np.nonzero(rng.random(hi - lo) < 0.05)[0]
-    strikes = _kernels.strike(lo, hi, _BASE.primes, grid(lo, hi, lo + at))
+    first, _, bits = grid(lo, hi, lo + at)
+    strikes = _kernels.strike(first, hi, _BASE.primes, bits)
     assert any((p == 4093).any() and p.max() > 4093 for _, p, _ in strikes)
     _check_sparse(lo, hi, at)
 
@@ -308,7 +310,8 @@ def test_sparse_odd_offsets_have_no_two():
     lo, hi = 10**8, 10**8 + 4096
     at = np.nonzero(np.random.default_rng(3).random(hi - lo) < 0.3)[0] | 1
     at = np.unique(at[at < hi - lo])
-    assert not any((p == 2).any() for _, p, _ in _kernels.strike(lo, hi, _BASE.primes, grid(lo, hi, lo + at)))
+    first, _, bits = grid(lo, hi, lo + at)
+    assert not any((p == 2).any() for _, p, _ in _kernels.strike(first, hi, _BASE.primes, bits))
     _check_sparse(lo, hi, at)
 
 
@@ -340,7 +343,8 @@ def test_sparse_strike_of_a_window_yields_a_few_batches():
     n = np.flatnonzero(_kernels.ACTIVE.primality(plo, phi, base)) + plo - 1
     lo, hi = plo - 1, phi - 1
     assert n.size > 50_000
-    assert len(list(_kernels.strike(lo, hi, base, grid(lo, hi, n, 2)))) <= 32
+    first, _, bits = grid(lo, hi, n, 2)
+    assert len(list(_kernels.strike(first, hi, base, bits))) <= 32
 
 
 def _prime_flags(lo, hi):

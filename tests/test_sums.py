@@ -102,27 +102,28 @@ def test_p_2_is_read_once_beside_the_odd_class(a, width):
                                          (1, 5, 6), (3, -1, 0), (9, -7, -6), (5, 2, 3)])
 @pytest.mark.parametrize("width", [1, 2, 97, 1 << 12])
 def test_every_window_of_the_sweep_has_one_parity(m, a, least, width):
-    # p = 2 is read as a window of its own, so on the line and in the
-    # class of an odd m the n of every window a part gets have one
+    # p = 2 is read in a window of its own, so on the line and in the
+    # class of an odd m the n of every other window a part gets have one
     # parity, and the bitmaps of the count and the strike are half-width
     windows = []
 
     def part(base, lo, hi, bits):
-        n = held(bits)
-        windows.append((lo, hi, n, bits[1]))
+        n = held(lo, bits)
+        windows.append((lo, hi, n, bits[0]))
         return [int(n.size)]
 
     x = max(a, 0) + 3000
     rows = titchmarsh.sums._sweep(a, x, part, width, 2, (1000,), m=m, least=least)
     odd = [p for p in primes_up_to(x).primes.tolist() if (p - a) % m == 0 and p >= least]
     assert rows[x] == (sum(p <= a for p in odd), [sum(p > a for p in odd)])
-    assert windows
     for lo, hi, n, _ in windows:
         assert n.size == 0 or (np.all(n & 1 == n[0] & 1) and lo <= n[0] and n[-1] < hi)
-    # p = 2, when summed, is the one-integer window [n, n + 1) in front
-    if 2 in odd and a < 2:
-        lo, hi, n, _ = windows.pop(0)
-        assert (lo, hi, n.tolist()) == ((2 - a) // m, (2 - a) // m + 1, [(2 - a) // m])
+    # p = 2's window comes first, g = 1: the one-integer window [n, n +
+    # 1) when p = 2 is summed, else empty
+    lo, hi, n, g = windows.pop(0)
+    read = 2 in odd and a < 2
+    assert g == 1 and hi - lo == n.size == read and (n * m + a == 2).all()
+    assert windows
     assert not any((n * m + a == 2).any() for _, _, n, _ in windows)
     assert all(g == 2 for *_, g in windows)
 
@@ -138,11 +139,11 @@ def test_every_window_of_the_sweep_has_one_parity(m, a, least, width):
 ])
 @pytest.mark.parametrize("width", [1, 97, 1 << 12])
 def test_the_sweep_hands_each_part_the_bitmap_of_its_n(m, a, least, x, width):
-    # bit r of a part's grid is n = g*(rlo + r) + pi, g = 2 on the line
+    # bit r of a part's grid (g, hit) is n = lo + g*r, g = 2 on the line
     # and in an odd m's class, 1 for an even m; the bitmap runs from the
-    # window's lo, or from an n <= 0 when the window straddles p = a, to
-    # its last n, hi - 1, and is set exactly at the n = (p - a) / m of
-    # the window's primes p > a
+    # window's first n, lo (<= 0 when the window straddles p = a), to its
+    # last n, hi - 1, and is set exactly at the n = (p - a) / m of the
+    # window's primes p > a
     parts = []
 
     def part(base, lo, hi, bits):
@@ -151,31 +152,25 @@ def test_the_sweep_hands_each_part_the_bitmap_of_its_n(m, a, least, x, width):
 
     titchmarsh.sums._sweep(a, x, part, width, 1, m=m, least=least)
     eligible = [p for p in primes_up_to(x).primes.tolist() if (p - a) % m == 0 and least <= p and a < p]
-    assert np.concatenate([held(bits) for *_, bits in parts]).tolist() == [(p - a) // m for p in eligible]
-    if eligible[:1] == [2]:
-        # p = 2 is the one-bit grid of its n, in front
-        two = (2 - a) // m
-        (lo, hi, (pi, g, rlo, hit)), *parts = parts
-        assert (lo, hi, pi, g, rlo, hit.tolist()) == (two, two + 1, 0, 1, two, [True])
+    assert np.concatenate([held(lo, bits) for lo, _, bits in parts]).tolist() == [(p - a) // m for p in eligible]
+    # p = 2's window opens every sweep, g = 1, at the least n with a +
+    # m*n >= 2: one bit, that n's, when p = 2 is summed, else none
+    (lo, hi, (g, hit)), *parts = parts
+    read = eligible[:1] == [2]
+    assert (lo, hi, g, hit.tolist()) == (-((a - 2) // m), lo + read, 1, [True] * read)
     if not eligible:
-        [(lo, hi, (pi, g, rlo, hit))] = parts
-        assert (lo, hi, pi, g, rlo, hit.size) == (1, 1, 0, 1, 1, 0)
+        assert (lo, hi, hit.size, parts) == (1, 1, 0, [])
         return
-    ends = []
-    for lo, hi, (pi, g, rlo, hit) in parts:
-        assert g == (2 if m % 2 else 1) and 0 <= pi < g and hit.dtype == np.bool_
-        assert g * (rlo + hit.size - 1) + pi == hi - 1
-        first = g * rlo + pi
-        assert first == lo or (lo == 1 and first < 1)
-        # a window of p <= a alone has hi <= lo = 1, and no bit set
-        if hi > lo:
-            ends += [lo, hi]
-        else:
-            assert not hit.any()
-    assert ends == sorted(ends)
+    # the segments tile the n of the odd class from its first p >= max(3, least)
+    first = next(p for p in range(max(3, least), x + 1) if p % 2 and (p - a) % m == 0)
+    n = (first - a) // m
+    for lo, hi, (g, hit) in parts:
+        assert g == (2 if m % 2 else 1) and hit.dtype == np.bool_
+        assert lo == n < hi and lo + g * (hit.size - 1) == hi - 1
+        n = hi - 1 + g
     if a > 2 and width == 1 << 12:
-        _, _, (pi, g, rlo, hit) = parts[0]
-        assert g * rlo + pi < 1 and hit.any()
+        lo, _, (_, hit) = parts[0]
+        assert lo < 1 and hit.any()
 
 
 def test_pillai_sum_is_exact_fixed_point():
@@ -668,13 +663,13 @@ def _check_count(qs, cs, lo, hi, n):
     cs = np.array(cs, dtype=np.int64)
     want = _divisor_oracle(qs.tolist(), lo, hi, n)
     i = np.arange(qs.size)
-    bits = grid(lo, hi, n)
-    got = count(qs, np.ones_like(qs), i, qs.size, lo, hi, bits)
+    window = grid(lo, hi, n)
+    got = count(qs, np.ones_like(qs), i, qs.size, *window)
     assert got.tolist() == want, (lo, hi)
-    [total] = count(qs, cs, np.zeros_like(qs), 1, lo, hi, bits).tolist()
+    [total] = count(qs, cs, np.zeros_like(qs), 1, *window).tolist()
     assert total == sum(c * w for c, w in zip(cs.tolist(), want)), (lo, hi)
     own = (qs.size + 1) // 2
-    got = count(qs, np.where(i < own, 1, cs), np.minimum(i, own), own + 1, lo, hi, bits)
+    got = count(qs, np.where(i < own, 1, cs), np.minimum(i, own), own + 1, *window)
     rest = sum(c * w for c, w in zip(cs[own:].tolist(), want[own:]))
     assert got.tolist() == [*want[:own], rest], (lo, hi)
 
@@ -762,7 +757,7 @@ def test_divisor_count_merges_one_stride_by_its_start(monkeypatch, e):
         hi = lo + 64 * (4 * e + 1) + 3  # s = 4e is below 1/64 of the width
         n = np.arange(lo, hi, dtype=np.int64)  # both parities: g = 1
         calls.clear()
-        titchmarsh.sums._divisor_counts(qs, np.array([1, -1]), cols, 1, lo, hi, grid(lo, hi, n))
+        titchmarsh.sums._divisor_counts(qs, np.array([1, -1]), cols, 1, *grid(lo, hi, n))
         assert sum(step == 4 * e for call in calls for _, step in call) == views
         for dense in (n, n[n % 3 != 1]):
             _check_count([1, 4], [1, -1], lo, hi, dense)
@@ -785,7 +780,7 @@ def test_divisor_count_merges_a_long_stride_by_its_start(monkeypatch, e, width):
         view = (10, min(s, width))  # both parities: g = 1, the bitmap is the window
         for cs, read in (([1, -1], False), ([1, 1], True)):
             calls.clear()
-            titchmarsh.sums._divisor_counts(qs, np.array(cs), cols, 1, lo, hi, grid(lo, hi, n))
+            titchmarsh.sums._divisor_counts(qs, np.array(cs), cols, 1, *grid(lo, hi, n))
             assert any(view in call for call in calls) == read
             _check_count([1, 4], cs, lo, hi, n)
 
@@ -800,7 +795,7 @@ def test_a_window_of_many_pairs_is_counted_batch_by_batch(monkeypatch):
     for n in (np.arange(lo + 1, hi, 2, dtype=np.int64), np.arange(lo, hi, 5, dtype=np.int64)):
         calls.clear()
         col = np.zeros(1, dtype=np.int64)
-        [got] = titchmarsh.sums._divisor_counts(one, one, col, 1, lo, hi, grid(lo, hi, n))
+        [got] = titchmarsh.sums._divisor_counts(one, one, col, 1, *grid(lo, hi, n))
         assert len(calls) > 1 and max(map(len, calls)) <= 2 * _kernels.BATCH_HITS
         assert got == int(value_range(DIVISOR, lo, hi)[n - lo].sum())
 
@@ -831,12 +826,12 @@ def test_both_sides_of_the_count_rule_agree(monkeypatch, kind):
     for top in (hi - 1, hi):
         lo = top - width
         n = np.arange(lo, top, 3, dtype=np.int64)
-        bits = grid(lo, top, n)
+        window = grid(lo, top, n)
         routes.clear()
-        [got] = part(base, lo, top, bits)
+        [got] = part(base, *window)
         picked.append(routes[0])
         want = int(value_range(kind, lo, top)[n - lo].sum())
-        [counted] = sums._divisor_counts(qs, cs, np.zeros_like(qs), 1, lo, top, bits).tolist()
+        [counted] = sums._divisor_counts(qs, cs, np.zeros_like(qs), 1, *window).tolist()
         assert got == want == counted, (kind.label, lo, top)
     assert picked == ["_divisor_counts", "_factor_part"]
 
@@ -874,10 +869,12 @@ _CHECKPOINTS = [10**4, 10**5, 10**6, 10**7]
      ["factor"] + ["count"] * 13),
     (lambda: shifted_prime_sum(k_free_divisor(2), 1, 10**7, _CHECKPOINTS, workers=1),
      ["factor"] + ["count"] * 3 + ["factor"] + ["count"] * 9),
-    # its split workload's T_m, over r <= (10**7 - 1) / m: all counted
-    (lambda: felix_partial_sum(2, 1, 10**7, workers=1), ["count"] * 5),
-    (lambda: felix_partial_sum(3, 1, 10**7, workers=1), ["count"] * 4),
-    (lambda: felix_partial_sum(5, 1, 10**7, workers=1), ["count"] * 2),
+    # its split workload's T_m, over r <= (10**7 - 1) / m: all counted,
+    # after p = 2's window, empty (2 is in no class p = 1 mod m), which
+    # the count reads nothing of
+    (lambda: felix_partial_sum(2, 1, 10**7, workers=1), ["count"] * 6),
+    (lambda: felix_partial_sum(3, 1, 10**7, workers=1), ["count"] * 5),
+    (lambda: felix_partial_sum(5, 1, 10**7, workers=1), ["count"] * 3),
     # its high_shift d sum: p = 2 at n = 2**39 + 2 and both windows near
     # 2**39 factored
     (lambda: shifted_prime_sum(DIVISOR, -(2**39), 2 * 10**6, [2 * 10**6], workers=1),
@@ -922,7 +919,7 @@ def _record_at(monkeypatch, name):
 
     def recorded(*args):
         bits = args[4] if len(args) == 5 else None
-        calls.append(None if bits is None else held(bits))
+        calls.append(None if bits is None else held(args[0], bits))
         return kernel(*args)
 
     monkeypatch.setattr(_kernels.ACTIVE, name, recorded)

@@ -73,7 +73,7 @@ def test_evaluate_equals_the_kernel_of_every_row(kind, lo, hi):
     some = n[rng.random(n.size) < 0.5]
     # a full-width grid (g = 1) and half-width grids of either parity (g = 2)
     for at, g in ((some, 1), (n[n % 2 == 0], 2), (some[some % 2 == 1], 2)):
-        assert _kernel(kind, lo, hi, grid(lo, hi, at, g)) == [want[i] for i in at - lo], g
+        assert _kernel(kind, *grid(lo, hi, at, g)) == [want[i] for i in at - lo], g
 
 
 _N = 10**4
@@ -97,9 +97,9 @@ def test_every_summed_row_is_its_weight_times_d(kind):
     # the count and the factor route over one window, at n = p - 1
     lo, hi = 10**6, 10**6 + (1 << 12)
     p = primes_up_to(hi).primes
-    bits = grid(lo, hi, p[p > lo] - 1)
-    [counted] = _divisor_counts(qs, cs, np.zeros_like(qs), 1, lo, hi, bits).tolist()
-    assert counted == _factor_part(kind, _BASE, lo, hi, bits)
+    window = grid(lo, hi, p[p > lo] - 1)
+    [counted] = _divisor_counts(qs, cs, np.zeros_like(qs), 1, *window).tolist()
+    assert counted == _factor_part(kind, _BASE, *window)
 
 
 # the kernel of each kind as perfbench/tracing.py counts it

@@ -75,12 +75,19 @@ MUTANTS = [
      "",
      ["tests/test_sums.py::test_the_sweep_hands_each_part_the_bitmap_of_its_n",
       "tests/test_sums.py::test_a_factored_window_that_straddles_p_a_equals_its_oracle"]),
-    # the grid's parity fixed at 0, wrong for the odd n of an even a
-    ("src/titchmarsh/sums.py",
-     "    pi = -k % g\n",
+    # the bitmap's parity fixed at 0, wrong for the odd n of an even a
+    ("src/titchmarsh/_kernels.py",
+     "    pi = lo % g\n",
      "    pi = 0\n",
-     ["tests/test_sums.py::test_the_sweep_hands_each_part_the_bitmap_of_its_n",
+     ["tests/test_kernels.py::test_sparse_one_parity_edges",
       "tests/test_sums.py::test_a_factored_window_that_straddles_p_a_equals_its_oracle"]),
+    # p = 2's window reads p = 2 also when 2 <= a, at an n <= 0, and
+    # does not count it as skipped
+    ("src/titchmarsh/sums.py",
+     "    read = int(cls.two and a < 2)\n",
+     "    read = int(cls.two)\n",
+     ["tests/test_sums.py::test_skipped_primes_counted",
+      "tests/test_sums.py::test_p_2_is_read_once_beside_the_odd_class"]),
     # mu_k's local factor -1 at every multiple of k, so mu_k(p**(2k)) = -1
     ("src/titchmarsh/_kernels.py",
      "(e != k) - 1",

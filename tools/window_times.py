@@ -7,12 +7,13 @@ Usage:
 Each point P:A is one window of the primes, [P, P + W), and its shift a;
 the sums read n = p - a for the primes p > a there, so the n-window is
 about [max(1, P - a), P + W - a).  The sums sweep the odd p = 2t - 1 of
-the window, W/2 values of t, and read p = 2 apart, as a one-integer
-window of its own (``sums._sweep``); so every row here reads the odd p
+the window, W/2 values of t, and read p = 2 apart, in a window of its
+own (``sums._sweep``); so every row here reads the odd p
 alone, and the n of each window have one parity.  The count and factor
 rows time what the sweep's part runs on its window: they are handed the
-window's primality flags as their grid (``sums._window``), as the sweep
-hands them, so they do not include the bitmap.  The default points are
+window's primality flags as the grid (g, hit), bit r at n = lo + g*r
+(``sums._window``), as the sweep hands them, so they do not include the
+bitmap.  The default points are
 10^7:1 (the top window of felix's T_m to 10^7), 10^8:1 (n near 10^8)
 and 2:-2^39 (n near 2^39, the first window of a sum with a = -2^39).
 Numbers may be written 123, 3e8 or 2^39.
@@ -149,13 +150,16 @@ def window_rows(plo, a, width, runs):
     phi = plo + width
     base = primes_up_to(max(2, isqrt(max(phi, phi - a) - 1)))
     seg, cls = _odd_window(plo, phi, a, base.primes)
-    # the n-window and the grid the sweep hands its part, the bitmap supplied
+    # the n-window and the grid the sweep hands its part, the bitmap
+    # supplied; the dense table and the rows per integer read its n >= 1,
+    # as the sums' route rule does
     _, lo, hi, grid = _window(seg, cls, a, 1)
+    held = max(lo, 1)
     (d_q, d_c), (k_q, k_c) = (_divisor_weights(kind, hi - 1) for kind in (DIVISOR, DK2))
     # one column, as the sums count them
     d_col, k_col = np.zeros_like(d_q), np.zeros_like(k_q)
     return {
-        "eligible n": int(np.count_nonzero(grid[3])),
+        "eligible n": int(np.count_nonzero(grid[1])),
         "primality bitmap": _ms(
             lambda: _kernels.ACTIVE.primality(seg.lo, seg.hi, cls.primes, cls.first), runs
         ),
@@ -165,10 +169,10 @@ def window_rows(plo, a, width, runs):
         "d factored": _ms(lambda: _factor_part(DIVISOR, base, lo, hi, grid), runs),
         "dk2 factored": _ms(lambda: _factor_part(DK2, base, lo, hi, grid), runs),
         "Pillai factored": _ms(lambda: _factor_part(PILLAI, base, lo, hi, grid), runs),
-        "dense table": _ms(lambda: value_range(DIVISOR, lo, hi, base), runs),
-        "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - lo)),
-        "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - lo)),
-        "dk2 views/int": _views_read(k_q, k_c, k_col, lo, hi, grid) / (hi - lo),
+        "dense table": _ms(lambda: value_range(DIVISOR, held, hi, base), runs),
+        "d pairs/int": float(_pairs(d_q, hi)[1].sum() / (hi - held)),
+        "dk2 pairs/int": float(_pairs(k_q, hi)[1].sum() / (hi - held)),
+        "dk2 views/int": _views_read(k_q, k_c, k_col, lo, hi, grid) / (hi - held),
     }
 
 
