@@ -23,7 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -40,13 +39,13 @@ ZETA3_SERIES_TERMS = 10**6
 DEFAULT_PRIME_LIMIT = 10**7
 DEFAULT_SERIES_LIMIT = 10**4
 # An Euler product sieves every prime up to its prime_limit and holds a
-# few float arrays over them: bk_product at 10**8 takes ~0.6 s, and a
+# few float arrays over them: bk_product at 10**8 takes ~0.3 s, and a
 # fresh process peaks near 165 MB resident (k = 2 and 3 alike).
 MAX_PRODUCT_LIMIT = 10**8
-# The tail envelope of cf_series sieves the squarefree j up to 256 *
-# m_limit in 2**16-wide windows, so a fresh process stays under 40 MB
-# resident at any m_limit, but its time grows with m_limit: 22-25 s on
-# one core at 10**6.
+# The tail envelope of cf_series enumerates the squarefree j up to 256 *
+# m_limit in batches of at most 2**16, so a fresh process stays under 40 MB
+# resident at any m_limit (38 MB at 10**6), but its time grows with
+# m_limit: ~5 s on one core at 10**6.
 MAX_SERIES_LIMIT = 10**6
 
 _EPS = sys.float_info.epsilon
@@ -142,13 +141,69 @@ def _check_prime_limit(prime_limit, least):
     return prime_limit
 
 
+# _exact_sum's limbs: _LIMB bits each, summed as float64 integers, exact
+# below 2**53 for blocks of _SUM_BLOCK doubles; a limb's position is never
+# below _LIMB_BASE, as its last limb lies within _LIMB bits of 2**-1074,
+# the last bit of every double
+_LIMB = 30
+_LIMB_BASE = -1074 - _LIMB
+_SUM_BLOCK = 1 << 16
+
+
+def _limb_total(x):
+    """sum(x) * 2**-_LIMB_BASE, an exact int, for a float64 array x of at
+    most 2**23 doubles.
+
+    x is scaled by 2**-a, a = e - _LIMB for every |x| < 2**e, which is
+    exact unless x spans more exponents than a double holds (it is then
+    split in two by magnitude), and cut into limbs toward zero: the limb
+    trunc(y) has |limb| < 2**30, and y - trunc(y) keeps y's sign and fits
+    in y's bits, so each limb's sum over x is an exact float64 integer,
+    and the remainder, times 2**30, is the next y.  The cut ends at the
+    first position where every y is an integer."""
+    m = np.abs(x)
+    top = float(m.max(initial=0.0))
+    if not top:
+        return 0
+    low = float(m.min()) or float(m.min(where=m > 0, initial=top))
+    a = math.frexp(top)[1] - _LIMB
+    end = max(math.frexp(low)[1] - 53, -1074)  # every x a multiple of 2**end
+    if end - a < -1074:
+        small = m < 2.0 ** (a - 1000)
+        return _limb_total(np.where(small, 0.0, x)) + _limb_total(x[small])
+    y = np.ldexp(x, -a)
+    limb = np.empty_like(y)
+    total = 0
+    while True:
+        np.trunc(y, out=limb)
+        total += int(limb.sum()) << (a - _LIMB_BASE)
+        if a <= end:
+            return total
+        y -= limb
+        y *= float(1 << _LIMB)
+        a -= _LIMB
+
+
+def _exact_sum(chunks):
+    """The sum of every double in the float64 arrays ``chunks``, correctly
+    rounded, as math.fsum gives it: each block of up to _SUM_BLOCK of them
+    is cut into limbs (``_limb_total``), and their exact total takes one
+    Python int true division, which is correctly rounded."""
+    total = 0
+    for x in chunks:
+        for i in range(0, x.size, _SUM_BLOCK):
+            total += _limb_total(x[i : i + _SUM_BLOCK])
+    return total / (1 << -_LIMB_BASE)
+
+
 def _log_sum(limit, term):
     """(sum of log1p(term(p)) over the primes p <= limit, their count), the
-    sum exact by fsum; term maps the primes, as one float64 array, to their
-    terms.  One whole array, not windows: freeing it lifts glibc's mmap
-    threshold, which spares a tracking pass after set-up ~2,000 page faults."""
+    sum exact (``_exact_sum``); term maps the primes, as one float64 array,
+    to their terms.  One whole array, not windows: freeing it lifts
+    glibc's mmap threshold, which spares a tracking pass after set-up
+    ~2,000 page faults."""
     pf = primes_up_to(limit).primes.astype(np.float64)
-    return math.fsum(memoryview(np.log1p(term(pf)))), pf.size
+    return _exact_sum([np.log1p(term(pf))]), pf.size
 
 
 def zeta_product_identity_gap(prime_limit):
@@ -185,7 +240,7 @@ def bk_product(k, a, prime_limit=DEFAULT_PRIME_LIMIT):
 
     b_k = T(a) * prod_p (1 - u_p), u_p = 1/(p^(k-2) * (p^2 - p + 1)),
     truncated at ``prime_limit``; for every k the log1p(-u_p) are summed
-    exactly by fsum, with u_p = 0 where p^(k-2) overflows.
+    exactly (``_exact_sum``), with u_p = 0 where p^(k-2) overflows.
 
     Tail: -log prod_{p > P} (1 - u_p) <= sum u_p (1 + u_p) and for
     p > P >= 100 we have p^2 - p + 1 > 0.99 p^2, so the sum is below
@@ -260,51 +315,100 @@ class CfSpec:
         return cls("pillai")
 
 
-# The ratio sieve's window: its two float64 arrays, 512 KiB each, fit in
-# a core's L2 (2 MiB on the 2-vCPU Xeon host).  The midsection of the
-# envelope at m_limit 10**5 took 1.1-1.4 s at this width, against 1.6-1.7
-# s and 56 MiB traced (here 4 MiB) in windows of 2**20.
-_SERIES_WIDTH = 1 << 16
+# The walk's batches of nodes and the q windows of _series_terms: the
+# envelope at m_limit 10**4 peaks at 4.2 MiB traced, against 7.2 MiB with
+# walk batches of 2**16 and 6.3 MiB with q windows of 2**20 integers.
+_WALK_BATCH = 1 << 12
+_Q_WIDTH = 1 << 15  # values of t on the odd line q = 2t - 1, 2**16 integers
+
+
+def _local_factor(p):
+    # -p^2/(p^2 - p + 1) for an int64 array p: p*p is exact in int64 and
+    # rounds once to a double in the division, which the pinned bits of
+    # cf_series and of the envelope depend on
+    return -(p * p / (p * p - p + 1.0))
+
+
+def _expand(first, counts, batch):
+    """(which, idx) over the runs first[i] + t, 0 <= t < counts[i], chunk
+    by chunk of whole runs, each chunk at most ``batch`` terms (a longer
+    run alone): idx the terms, which[t] the run of idx[t]."""
+    ends = np.cumsum(counts)
+    i = 0
+    while i < counts.size:
+        done = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + batch, side="right")))
+        c = counts[i:j]
+        which = np.repeat(np.arange(i, j), c)
+        yield which, np.arange(done, int(ends[j - 1])) - np.repeat(ends[i:j] - c - first[i:j], c)
+        i = j
+
+
+def _walk(j, w, last, base, fb, top):
+    """(j, w) batch by batch for the nodes j and every node below them: the
+    children of j are j * base[i] <= top for every i > last, with weight
+    w * fb[i], so each node is a squarefree j over base, its primes
+    multiplied in ascending order.  base ends in a bound above top, so
+    a node with base[last + 1] > top / j, a leaf, is found without a
+    search."""
+    yield j, w
+    live = np.flatnonzero(j * base[last + 1] <= top)
+    if live.size:
+        j, w, last = j[live], w[live], last[live]
+        counts = np.searchsorted(base, top // j, side="right") - last - 1
+        for node, idx in _expand(last + 1, counts, _WALK_BATCH):
+            yield from _walk(j[node] * base[idx], w[node] * fb[idx], idx, base, fb, top)
 
 
 def _series_terms(lo, hi, k):
-    """mu(j) * ratio(j) / j**k for the squarefree j in [lo, hi), one array
-    per window of iter_segments, where ratio(j) = prod_{p | j} p^2/(p^2 -
-    p + 1) = c_j / T(a), any a.
+    """(j, mu(j) * ratio(j) / j**k) for the squarefree j in [lo, hi), as
+    int64 and float64 arrays batch by batch, in no order of j, where
+    ratio(j) = prod_{p | j} p^2/(p^2 - p + 1) = c_j / T(a), any a.
 
-    A sieve for squarefree j: each base prime p <= isqrt(seg.hi - 1) of
-    a window multiplies -p^2/(p^2 - p + 1) into the weights w and p into
-    the products prod at its multiples, walked by ``_kernels.multiples``
-    (strided views, then batches), so in ascending p at every j; then w
-    is zeroed on the same walk of the p^2.  The cofactor c = j / prod,
-    exact as a double below 2**53, is 1 or the one prime above the root,
-    and multiplies last.  So every term is the same double as a product
-    taken prime by prime in ascending order with the cofactor last; a
-    sign flip is exact, so mu(j) * ratio(j) is +-ratio(j) bit for bit.
+    Each j is enumerated once by its largest prime q, with Q = hi - 1 and
+    R = max(2, isqrt(Q)).  The j whose q is at most R are the nodes of a
+    depth-first walk over the primes up to R (``_walk``), from j = 1.
+    The rest are j = s*q with q > R prime, so s <= Q/q < R + 1: the q
+    come window by window from the odd line q = 2t - 1 (the primality
+    kernel), and each squarefree s <= R, in ascending s, takes the q in
+    [lo/s, Q/s] of the window as one contiguous slice.
+
+    Every term is one fixed double, whichever way j is reached: its
+    weight is -p^2/(p^2 - p + 1) multiplied from 1.0 prime by prime in
+    ascending order, the largest last, and only then divided by j**k
+    (numpy's power of the float64 j); a sign flip is exact, so mu(j) *
+    ratio(j) is +-ratio(j) bit for bit.
     """
-    base = primes_up_to(max(2, isqrt(hi - 1))).primes
-    for seg in iter_segments(lo, hi, _SERIES_WIDTH):
-        width = seg.hi - seg.lo
-        primes = base[: np.searchsorted(base, isqrt(seg.hi - 1), side="right")]
-        w = np.ones(width)
-        prod = np.ones(width)
-        for idx, i in _kernels.multiples(-seg.lo % primes, primes, width):
-            if isinstance(idx, slice):
-                p = idx.step
-                w[idx] *= -(p * p / (p * p - p + 1.0))
-                prod[idx] *= p
-            else:
-                p = primes[i]
-                np.multiply.at(w, idx, -(p * p / (p * p - p + 1.0)))
-                np.multiply.at(prod, idx, p)
-        square = primes * primes
-        for idx, _ in _kernels.multiples(-seg.lo % square, square, width):
-            w[idx] = 0.0
-        live = np.flatnonzero(w)
-        j = (live + seg.lo).astype(np.float64)
-        c = (j / prod[live]).astype(np.int64)
-        w = w[live] * np.where(c > 1, -(c * c / (c * c - c + 1.0)), 1.0)
-        yield w / j**k
+    top = hi - 1
+    root = max(2, isqrt(top))
+    primes = primes_up_to(root).primes
+    base = np.append(primes, top + root)  # above the top of either walk
+    fb = _local_factor(base)
+    one = (np.ones(1, dtype=np.int64), np.ones(1), np.full(1, -1))
+    for j, w in _walk(*one, base, fb, top):
+        keep = np.flatnonzero(j >= lo)
+        j = j[keep]
+        yield j, w[keep] / j.astype(np.float64) ** k
+    # the squarefree s <= R with their weights, ascending
+    s, ws = (np.concatenate(col) for col in zip(*_walk(*one, base, fb, root)))
+    order = np.argsort(s)
+    s, ws = s[order], ws[order]
+    odd = primes[1:]
+    first = (odd * odd + 1) // 2
+    t_hi = (top + 1) // 2 + 1
+    if (root + 3) // 2 >= t_hi:
+        return
+    for seg in iter_segments((root + 3) // 2, t_hi, _Q_WIDTH):
+        q = 2 * (np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, odd, first)) + seg.lo) - 1
+        if not q.size:
+            continue
+        fq = _local_factor(q)
+        n = int(np.searchsorted(s, top // q[0], side="right"))
+        start = np.searchsorted(q, -(-lo // s[:n]))
+        counts = np.maximum(np.searchsorted(q, top // s[:n], side="right") - start, 0)
+        for which, idx in _expand(start, counts, _kernels.BATCH_HITS):
+            j = s[which] * q[idx]
+            yield j, ws[which] * fq[idx] / j.astype(np.float64) ** k
 
 
 @lru_cache(maxsize=None)
@@ -332,10 +436,10 @@ _TAIL_STRETCH = 256
 def _cf_tail_envelope(m_cut, k):
     """Bound on sum_{j > m_cut} mu^2(j) ratio(j) / j^k, ratio as above.
 
-    Exact midsection out to Q = 256 * m_cut, from the ratio sieve of
-    ``_series_terms``, summed window by window into one fsum, so that
-    memory stays at a few 2**16-wide windows at any m_cut, then an
-    analytic remainder: writing ratio(j) = sum_{d | j} g(d) (squarefree
+    Exact midsection out to Q = 256 * m_cut, the terms of
+    ``_series_terms`` summed batch by batch into one exact sum
+    (``_exact_sum``), so that memory stays at a few batches at any m_cut,
+    then an analytic remainder: writing ratio(j) = sum_{d | j} g(d) (squarefree
     j) and splitting j = d*t gives, for Q >= 1,
 
       sum_{j > Q} mu^2 ratio / j^k
@@ -346,8 +450,7 @@ def _cf_tail_envelope(m_cut, k):
     """
     q = _TAIL_STRETCH * m_cut
     power = _tail_power(q, k)
-    terms = _series_terms(m_cut + 1, q + 1, k)
-    mid = math.fsum(chain.from_iterable(memoryview(np.abs(t)) for t in terms))
+    mid = _exact_sum(np.abs(t) for _, t in _series_terms(m_cut + 1, q + 1, k))
     rem = _g_series_constant() * (k / (k - 1.0) + _zeta_upper(k)) / power
     return mid + rem
 
@@ -372,9 +475,8 @@ def cf_series(spec, a, m_limit=DEFAULT_SERIES_LIMIT):
     # the envelope goes first: it refuses a k too large for its cut
     tail = t.value * _cf_tail_envelope(m_limit, k)
     # mu_k rule: sum_j mu(j) c_{j^k} / j^k; pillai: sum_m mu(m) c_m / m^2
-    terms = np.concatenate(list(_series_terms(1, m_limit + 1, k)))
-    series = math.fsum(memoryview(terms))
-    value = t.value * series
-    abs_sum = t.value * math.fsum(memoryview(np.abs(terms)))
+    terms = [x for _, x in _series_terms(1, m_limit + 1, k)]
+    value = t.value * _exact_sum(terms)
+    abs_sum = t.value * _exact_sum(np.abs(x) for x in terms)
     rounding = _EPS * (16.0 * abs_sum + 4.0 * abs(value)) + t.rounding_bound
     return ConstantResult(value, m_limit, tail, rounding)

@@ -53,23 +53,29 @@ class Segment:
 
 
 def primes_up_to(n):
-    """All primes up to and including n, by the segmented sieve: the
-    primes up to isqrt(n), from this function itself (none when n < 4),
-    are struck through each window of ``iter_segments(2, n + 1)`` by the
-    primality kernel.
+    """All primes up to and including n, by the segmented sieve of the odd
+    line p = 2t - 1: 2, then the odd primes, each base prime l (the odd
+    primes up to isqrt(n), from this function itself, none when n < 9)
+    striking the t from (l*l + 1) // 2 on, t = (l + 1) / 2 (mod l), through
+    each window of ``iter_segments(2, (n + 1) // 2 + 1)`` by the primality
+    kernel.
 
-    Memory is one window of flags plus the primes returned.
+    Memory is one window of flags, 2**21 integers, plus the primes
+    returned.
     """
     n = int(n)
     if n < 2:
         raise ValueError("no primes below 2")
     if n > MAX_PRIME_LIMIT:
         raise ValueError(f"prime limit {n} exceeds {MAX_PRIME_LIMIT}")
-    base = primes_up_to(isqrt(n)).primes if n >= 4 else np.zeros(0, dtype=np.int64)
-    found = [
-        np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, base)) + seg.lo
-        for seg in iter_segments(2, n + 1)
-    ]
+    found = [np.full(1, 2, dtype=np.int64)]
+    if n >= 3:
+        base = primes_up_to(isqrt(n)).primes[1:] if n >= 9 else np.zeros(0, dtype=np.int64)
+        first = (base * base + 1) // 2
+        found += [
+            2 * (np.flatnonzero(_kernels.ACTIVE.primality(seg.lo, seg.hi, base, first)) + seg.lo) - 1
+            for seg in iter_segments(2, (n + 1) // 2 + 1)
+        ]
     return PrimeList(n, np.concatenate(found))
 
 

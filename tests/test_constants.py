@@ -3,11 +3,12 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from titchmarsh import constants
@@ -316,8 +317,9 @@ def test_tail_envelope_memory_is_a_few_windows():
 def _factored_terms(lo, hi, k):
     # the reference: each j factored on its own, -p^2/(p^2 - p + 1)
     # multiplied in ascending p, and j dropped when some p^2 divides it.
-    # j**k is numpy's, as in the sieve: Python's float ** int calls libm's
-    # pow, which near 2.56e8 misses the correctly rounded j*j by an ulp
+    # j**k is numpy's, as in the enumerator: Python's float ** int calls
+    # libm's pow, which near 2.56e8 misses the correctly rounded j*j by an
+    # ulp.  Returns the pairs (j, term), ascending in j, as two lists.
     ws, js = [], []
     for j in range(lo, hi):
         w = 1.0
@@ -328,41 +330,126 @@ def _factored_terms(lo, hi, k):
         else:
             ws.append(w)
             js.append(j)
-    return (np.array(ws) / np.array(js, dtype=np.float64) ** k).tolist()
+    return js, (np.array(ws) / np.array(js, dtype=np.float64) ** k).tolist()
+
+
+def _enumerated(lo, hi, k):
+    # the enumerator's pairs (j, term), which come in no order of j, sorted by j
+    j, t = (np.concatenate(col) for col in zip(*constants._series_terms(lo, hi, k)))
+    order = np.argsort(j)
+    return j[order].tolist(), t[order].tolist()
 
 
 def _assert_terms_match(lo, hi, k):
-    got = np.concatenate(list(constants._series_terms(lo, hi, k)))
-    assert got.tolist() == _factored_terms(lo, hi, k), (lo, hi, k)
+    assert _enumerated(lo, hi, k) == _factored_terms(lo, hi, k), (lo, hi, k)
 
 
-_W = constants._SERIES_WIDTH
+# The width of the windows of j that the ratio sieve, the enumerator's
+# predecessor, walked: the seams of those windows stay as narrow checks.
+# Each costs what the enumerator pays up to its hi: about 2 s near _TOP.
+_W = 1 << 16
 _TOP = constants._TAIL_STRETCH * MAX_SERIES_LIMIT
 
 
 @pytest.mark.parametrize("lo,hi", [
     (1, 300),  # j = 1 and the smallest roots
-    (_W - 40, _W + 40),  # the first seam
-    (7 * _W - 1, 7 * _W + 2),  # one j either side of a seam
-    (9 * _W - 30, 9 * _W + 30),  # 9 * 2**16, a multiple of 3**2, on the seam
-    (25 * 49 * _W - 30, 25 * 49 * _W + 30),  # multiples of 5**2 and 7**2 on it
-    (257**2 - 600, 257**2 + 40),  # 257**2 > 2**16, past the first seam
-    (2 * _W - 3, 2 * 257**2 + 5),  # the second seam, then 2 * 257**2
-    (251**2 - 40, 251**2 + 1),  # the root 251 = isqrt(hi - 1), its square last
-    (251**2 - 40, 251**2),  # the root 250: 251 only as a cofactor
-    (15991**2 - 60, 15991**2 + 1),  # the largest root below 256 * MAX_SERIES_LIMIT
-    (15991**2 - 60, 15991**2),  # the root 15990
-    (_TOP - 200, _TOP + 1),  # the top of the envelope at MAX_SERIES_LIMIT
+    (_W - 40, _W + 40),
+    (7 * _W - 1, 7 * _W + 2),
+    (9 * _W - 30, 9 * _W + 30),  # 9 * 2**16, a multiple of 3**2
+    (25 * 49 * _W - 30, 25 * 49 * _W + 30),  # multiples of 5**2 and 7**2
+    (257**2 - 600, 257**2 + 40),  # 257**2 > 2**16
+    (2 * _W - 3, 2 * 257**2 + 5),
+    (251**2 - 40, 251**2 + 1),  # Q = r**2 for the prime r = 251: r in the walk, r**2 last
+    (251**2 - 40, 251**2),  # Q = r**2 - 1: R = 250, and 251 a q of the windows
+    (15991**2 - 60, 15991**2 + 1),  # the largest prime root below 256 * MAX_SERIES_LIMIT
+    (15991**2 - 60, 15991**2),  # R = 15990
+    (_TOP - 200, _TOP + 1),  # the top of the envelope at MAX_SERIES_LIMIT, Q = 16000**2
 ])
 @pytest.mark.parametrize("k", [2, 3])
 def test_series_terms_equal_factored_j(lo, hi, k):
     _assert_terms_match(lo, hi, k)
 
 
+@pytest.mark.parametrize("top", [
+    168, 169, 170,  # Q = r**2 - 1, r**2, r**2 + 1 for the prime r = 13
+    255, 256, 257,  # and for the composite r = 16
+    10200, 10201, 10202,  # the prime r = 101
+    9999, 10000, 10001,  # the composite r = 100
+])
+@pytest.mark.parametrize("k", [2, 3])
+def test_series_terms_over_one_to_q(top, k):
+    # every j in [1, Q], either side of the split of the walk (largest
+    # prime <= R = isqrt(Q)) from the windows of q > R
+    _assert_terms_match(1, top + 1, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_series_terms_over_the_envelope_range(k):
+    # (m, 256 m] for m = 1000, as _cf_tail_envelope(1000, k) reads it: Q =
+    # 256000, R = 505, q in four windows of t on the odd line q = 2t - 1,
+    # the first opening at t = 254 and the last ending at t = 128000 inside
+    # its window; and the walk's second level, the j = p1 * p2, holds more
+    # nodes than one batch
+    m = 1000
+    top = constants._TAIL_STRETCH * m
+    base = primes_up_to(isqrt(top)).primes
+    pairs = np.count_nonzero(np.outer(base, base)[np.triu_indices(base.size, 1)] <= top)
+    assert pairs > constants._WALK_BATCH
+    first, last = (isqrt(top) + 3) // 2, (top + 1) // 2
+    assert first // constants._Q_WIDTH == 0 and last // constants._Q_WIDTH == 3
+    assert (last + 1) % constants._Q_WIDTH
+    _assert_terms_match(m + 1, top + 1, k)
+
+
 @settings(max_examples=40, deadline=None)
-@given(lo=st.integers(1, _TOP), width=st.integers(1, 300), k=st.sampled_from([2, 3]))
+@given(lo=st.integers(1, 1 << 23), width=st.integers(1, 300), k=st.sampled_from([2, 3]))
 def test_series_terms_equal_factored_j_anywhere(lo, width, k):
+    # lo up to 2**23, not _TOP: the enumerator walks every j below hi
+    # whatever lo is, about 2 s at the top, which the cases above reach
     _assert_terms_match(lo, lo + width, k)
+
+
+def _fsum_or_exact(xs):
+    # fsum refuses an intermediate overflow even where the exact sum,
+    # rounded, is a double; Fraction's float() rounds correctly too
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return float(sum(map(Fraction, xs)))
+
+
+_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False)
+# mantissas of every width at every exponent, subnormals included
+_SCALED = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1130, 970))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(_ANY_DOUBLE, _SCALED, st.just(0.0), st.just(-0.0)),
+                         max_size=40), max_size=6))
+# a negative double 120 bits below its block's top: its remainder is
+# exact toward zero, but not toward minus infinity
+@example([[2.0**60, -(2.0**60), -(2.0**-60)]])
+def test_exact_sum_equals_fsum(chunks):
+    xs = [x for chunk in chunks for x in chunk]
+    arrays = [np.array(chunk, dtype=np.float64) for chunk in chunks]
+    try:
+        want = _fsum_or_exact(xs)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            constants._exact_sum(arrays)
+        return
+    assert constants._exact_sum(arrays).hex() == want.hex(), xs
+
+
+def test_exact_sum_of_long_chunks_equals_fsum():
+    # chunks longer than one block, of mixed signs over 1,200 binary
+    # orders, and a run of terms like the envelope's
+    rng = np.random.default_rng(31)
+    n = 3 * constants._SUM_BLOCK + 5
+    wide = rng.standard_normal(n) * 2.0 ** rng.integers(-1100, 100, n)
+    terms = rng.random(n // 3) / rng.integers(1, 10**6, n // 3) ** 2.0
+    for chunks in ([wide], [terms, -terms[::2], wide[:7]], [np.zeros(0), terms]):
+        assert constants._exact_sum(chunks).hex() == math.fsum(np.concatenate(chunks).tolist()).hex()
 
 
 # value of bk_product(2, a, P) for a = 1, -6 and zeta_product_identity_gap(P)

@@ -78,13 +78,23 @@ def test_primes_up_to_at_the_window_seams():
     assert all(_is_prime(isqrt(q)) for q in squares)
     assert w < squares[0] < 2 * w < squares[1]
     limits = [2, 3, 4, w - 1, w, w + 1, 2 * w + 1] + squares + [q - 1 for q in squares]
-    # the base primes come from primes_up_to(isqrt(n)), none below n = 4:
-    # the edges of that recursion, where a level gains a base prime, and
-    # n around 2**16 = (2**8)**2, whose isqrt is itself a square
-    limits += [8, 9, 24, 25, 48, 49, 2**16 - 1, 2**16, 2**16 + 1]
+    # the base primes come from primes_up_to(isqrt(n)), none below n = 4,
+    # and the odd ones none below n = 9: the edges of that recursion,
+    # where a level gains a base prime, and n around 2**16 = (2**8)**2,
+    # whose isqrt is itself a square
+    limits += [8, 9, 10, 24, 25, 48, 49, 2**16 - 1, 2**16, 2**16 + 1]
+    # the windows are w values of t on the odd line p = 2t - 1, so their
+    # seams lie at p = 2w - 1 and 4w - 1
+    limits += [2 * w - 1, 2 * w, 2 * w + 1, 4 * w - 1, 4 * w + 1]
     reference = _byte_sieve(max(limits))
     for n in limits:
         _check_primes_up_to(n, reference)
+
+
+@pytest.mark.parametrize("x,count", [(10**6, 78_498), (10**7, 664_579), (10**8, 5_761_455)])
+def test_prime_counts_are_the_published_ones(x, count):
+    # pi(x) as published (OEIS A006880)
+    assert len(primes_up_to(x)) == count
 
 
 def test_primes_up_to_domain():

@@ -77,6 +77,14 @@ def test_skipped_primes_counted():
     assert rec.skipped_primes == 1
 
 
+def test_a_sweep_at_a_equal_to_x_skips_pi_x_primes():
+    # at a = x every prime p <= x is skipped, so the sweep's own sieve
+    # counts pi(10**7) as published (OEIS A006880)
+    x = 10**7
+    rec = shifted_prime_sum(DIVISOR, x, x, [x])[0]
+    assert (rec.skipped_primes, rec.sum) == (664_579, 0)
+
+
 def test_matches_direct_sum_at_1e5():
     for kind in (DIVISOR, k_free_divisor(2)):
         for a in (1, -1, 2, 5):

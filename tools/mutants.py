@@ -126,6 +126,24 @@ MUTANTS = [
      "def _fold(rule, lo, hi, primes, grid=None, k=None):",
      ["tests/test_sums.py::test_sums_factor_only_the_eligible_n",
       "tests/test_table.py::test_evaluate_equals_the_kernel_of_every_row"]),
+    # the exact sum's limbs cut by floor: the remainder of a negative
+    # double far below its limb needs more than 53 bits, and is rounded
+    ("src/titchmarsh/constants.py",
+     "        np.trunc(y, out=limb)\n",
+     "        np.floor(y, out=limb)\n",
+     ["tests/test_constants.py::test_exact_sum_equals_fsum"]),
+    # a term of the windows of q divided by j**k before its last factor
+    ("src/titchmarsh/constants.py",
+     "ws[which] * fq[idx] / j.astype(np.float64) ** k",
+     "ws[which] / j.astype(np.float64) ** k * fq[idx]",
+     ["tests/test_constants.py::test_series_terms_over_the_envelope_range",
+      "tests/test_constants.py::test_cf_series_pinned_bits"]),
+    # the odd line of primes_up_to stops one t short, at p = 2t - 1 <= n - 2
+    ("src/titchmarsh/sieve.py",
+     "for seg in iter_segments(2, (n + 1) // 2 + 1)",
+     "for seg in iter_segments(2, (n + 1) // 2)",
+     ["tests/test_sieve.py::test_primes_up_to_every_small_limit",
+      "tests/test_sieve.py::test_primes_up_to_at_the_window_seams"]),
 ]
 
 
